@@ -28,7 +28,7 @@ lifted = build_lifting(basis, sc, delta)
 gens = [basis.W[i] for i in basis.generator_indices]
 L = make_standard_operator("sublaplacian_power", gens, k=1)
 
-print("== kernel calibration (one-time, ~20 s)")
+print("== kernel calibration")
 Lt = L.with_fields(lifted.lifted_fields)
 kernel = kernel_calibrate(heisenberg_gauge_kernel(lifted), lifted, Lt)
 print(f"calibrated constant: {kernel.calibration_constant:.10f}"

@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
+from numpy.polynomial import polynomial as P
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
@@ -23,9 +25,10 @@ from .fields import (
     DilationFamily,
     OperatorSpec,
     certify_homogeneity,
+    field_apply,
     operator_transpose,
 )
-from .kernels import KernelSpec, apply_operator_sympy, poly_to_sympy
+from .kernels import KernelSpec, poly_to_sympy
 from .lifting import (
     HomNorm,
     LiftedSystem,
@@ -80,13 +83,27 @@ def smoothstep_expr(t: sp.Expr, order: int) -> sp.Expr:
     return t ** (m + 1) * s
 
 
+@lru_cache(maxsize=None)
+def _smoothstep_coeffs(order: int) -> np.ndarray:
+    """Smoothstep coefficients in u = 2t - 1, lowest power first.
+
+    On the centred variable the coefficients stay small (|c| < 25 at order
+    9, against 8e6 in powers of t), so values and derivatives evaluate to
+    double precision without cancellation.
+    """
+    u = sp.Symbol("u")
+    poly = sp.Poly(smoothstep_expr((u + 1) / 2, order), u)
+    return np.array([float(c) for c in reversed(poly.all_coeffs())])
+
+
 @dataclass(frozen=True)
 class BumpSpec:
     """Flat-top bump: 1 inside the flat radius, 0 outside the support radius.
 
-    Polynomial joins keep every derivative exactly computable and make the
+    The bump is h(s) of s = |z - center|^2, with h a polynomial on the
+    annulus flat_radius^2 < s < support_radius^2.  Polynomial joins make the
     function vanish identically, not merely approximately, outside the
-    support and all derivatives vanish on the flat top.
+    support, and all derivatives vanish on the flat top.
     """
 
     center: Tuple[float, ...]
@@ -98,27 +115,50 @@ class BumpSpec:
         if not 0 < self.flat_radius < self.support_radius:
             raise ValueError("need 0 < flat_radius < support_radius")
 
-    def expr(self, syms: Sequence[sp.Symbol]) -> sp.Expr:
-        a2 = sp.Float(self.flat_radius ** 2)
-        b2 = sp.Float(self.support_radius ** 2)
-        r2 = sum((s - sp.Float(c)) ** 2 for s, c in zip(syms, self.center))
-        t = (r2 - a2) / (b2 - a2)
-        return sp.Piecewise((1, r2 <= a2), (0, r2 >= b2),
-                            (1 - smoothstep_expr(t, self.order), True))
+    def profile_derivative(self, k: int, s: np.ndarray) -> np.ndarray:
+        """h^(k)(s), the k-th derivative of the profile, on the annulus."""
+        a2, b2 = self.flat_radius ** 2, self.support_radius ** 2
+        half = 0.5 * (b2 - a2)
+        u = (s - 0.5 * (a2 + b2)) / half
+        step = P.polyval(u, P.polyder(_smoothstep_coeffs(self.order), k))
+        return 1.0 - step if k == 0 else -step / half ** k
 
     def __call__(self, point: Sequence[float]) -> float:
         r2 = sum((v - c) ** 2 for v, c in zip(point, self.center))
-        a2, b2 = self.flat_radius ** 2, self.support_radius ** 2
-        if r2 <= a2:
+        if r2 <= self.flat_radius ** 2:
             return 1.0
-        if r2 >= b2:
+        if r2 >= self.support_radius ** 2:
             return 0.0
-        t = sp.Float((r2 - a2) / (b2 - a2))
-        return float(1 - smoothstep_expr(t, self.order))
+        return float(self.profile_derivative(0, r2))
 
     def box(self) -> List[Tuple[float, float]]:
         b = self.support_radius
         return [(c - b, c + b) for c in self.center]
+
+
+def bump_jet(op: OperatorSpec, center: Sequence[float]) -> Dict[int, Poly]:
+    """Exact P_k with op(h(s)) = Sum_k h^(k)(s) * P_k(z), s = |z - center|^2.
+
+    Holds for every smooth profile h, by X(h^(k)(s) P) = h^(k+1)(s) X(s) P
+    + h^(k)(s) X(P) applied through each word of the operator.
+    """
+    n = op.nvars
+    s = sum((z - Fraction(c)) ** 2 for z, c in zip(Poly.variables(n), center))
+    zero = Poly.zero(n)
+    out: Dict[int, Poly] = {}
+    for coeff, word in op.terms:
+        jet = {0: Poly.const(n, coeff)}
+        for i in reversed(word):
+            X = op.fields[i]
+            xs = field_apply(X, s)
+            nxt: Dict[int, Poly] = {}
+            for k, pk in jet.items():
+                nxt[k + 1] = nxt.get(k + 1, zero) + xs * pk
+                nxt[k] = nxt.get(k, zero) + field_apply(X, pk)
+            jet = nxt
+        for k, pk in jet.items():
+            out[k] = out.get(k, zero) + pk
+    return {k: pk for k, pk in out.items() if pk}
 
 
 # -- composite Gauss-Legendre tensor grids ---------------------------------------
@@ -162,18 +202,29 @@ def _poly_eval_arrays(p: Poly, coords: Sequence[np.ndarray]) -> np.ndarray:
 
 # -- kernel calibration ----------------------------------------------------------
 
-def _lifted_bump_data(kernel: KernelSpec, lifted: LiftedSystem,
-                      op_lifted: OperatorSpec, bump: BumpSpec,
-                      panels: int, nodes: int):
-    """Grid points where (op* bump) is nonzero, with weights w * (op* bump)."""
-    syms = kernel.syms
-    op_star = operator_transpose(op_lifted)
-    g = apply_operator_sympy(op_star, syms, bump.expr(syms))
-    gfn = sp.lambdify(syms, g, modules="numpy")
+def jet_values(jet: Dict[int, Poly], bump: BumpSpec,
+               pts: np.ndarray) -> np.ndarray:
+    """Sum_k h^(k)(s) P_k(z) at points (M, dim) inside the bump's annulus."""
+    s = np.sum((pts - np.asarray(bump.center)) ** 2, axis=1)
+    coords = list(pts.T)
+    out = np.zeros_like(s)
+    for k, pk in jet.items():
+        out += bump.profile_derivative(k, s) * _poly_eval_arrays(pk, coords)
+    return out
+
+
+def _star_bump_quadrature(jet: Dict[int, Poly], bump: BumpSpec, panels: int,
+                          nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Grid points where (op* bump) can be nonzero, with weights w * (op* bump).
+
+    ``jet`` is bump_jet of op*; op* bump vanishes off the open annulus, where
+    the bump is constant.
+    """
     pts, wts = tensor_gl_grid(bump.box(), panels, nodes)
-    gv = gfn(*pts.T)
-    mask = gv != 0.0
-    return pts[mask], wts[mask] * gv[mask]
+    s = np.sum((pts - np.asarray(bump.center)) ** 2, axis=1)
+    inside = (s > bump.flat_radius ** 2) & (s < bump.support_radius ** 2)
+    pts = pts[inside]
+    return pts, wts[inside] * jet_values(jet, bump, pts)
 
 
 def _translated_kernel_values(kernel: KernelSpec, pole: Sequence,
@@ -202,7 +253,8 @@ def calibration_residuals(kernel: KernelSpec, op_lifted: OperatorSpec,
         bump = BumpSpec((0.0,) * lifted.N)
     if poles is None:
         poles = _default_poles(lifted, bump)
-    pts, gw = _lifted_bump_data(kernel, lifted, op_lifted, bump, panels, nodes)
+    jet = bump_jet(operator_transpose(op_lifted), bump.center)
+    pts, gw = _star_bump_quadrature(jet, bump, panels, nodes)
     out = []
     for pole in poles:
         kv = _translated_kernel_values(kernel, pole, pts)
@@ -235,11 +287,11 @@ def kernel_calibrate(shape: KernelSpec, lifted: LiftedSystem,
         raise ValueError("kernel shape was built for a different lifting")
     if bump is None:
         bump = BumpSpec((0.0,) * lifted.N)
-    pts, gw = _lifted_bump_data(shape, lifted, op_lifted, bump, panels, nodes)
+    jet = bump_jet(operator_transpose(op_lifted), bump.center)
+    pts, gw = _star_bump_quadrature(jet, bump, panels, nodes)
     fn = sp.lambdify(shape.syms, shape.shape, modules="numpy")
     integral = float(np.sum(fn(*pts.T) * gw))
-    pts2, gw2 = _lifted_bump_data(shape, lifted, op_lifted, bump,
-                                  panels + 2, nodes + 2)
+    pts2, gw2 = _star_bump_quadrature(jet, bump, panels + 2, nodes + 2)
     integral2 = float(np.sum(fn(*pts2.T) * gw2))
     if abs(integral) < 1e-12 or \
             abs(integral - integral2) > check_tol * abs(integral2):
@@ -519,16 +571,11 @@ class SaturationEvaluator:
         n = self.lifted.n
         if len(bump.center) != n:
             raise ValueError("bump dimension does not match the base space")
-        xs = sp.symbols(f"u1:{n + 1}", real=True)
-        op_star = operator_transpose(self.operator)
-        g = apply_operator_sympy(op_star, xs, bump.expr(xs))
-        gfn = sp.lambdify(xs, g, modules="numpy")
-        pts, wts = tensor_gl_grid(bump.box(), panels, nodes)
-        gv = gfn(*pts.T)
-        mask = gv != 0.0
+        jet = bump_jet(operator_transpose(self.operator), bump.center)
+        pts, gws = _star_bump_quadrature(jet, bump, panels, nodes)
         total = 0.0
         yf = [float(v) for v in y]
-        for pt, gw in zip(pts[mask], wts[mask] * gv[mask]):
+        for pt, gw in zip(pts, gws):
             total += gw * self.gamma_record(pt, yf,
                                             rel_tol=gamma_rel_tol).value
         return abs(total + bump(yf))

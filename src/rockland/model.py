@@ -4,7 +4,7 @@ Statements (each ending in ';'):
     dilation [1, 2];            the dilation exponents, first
     field X1 = d1;              vector fields as sums of poly * dN terms
     field X2 = x1*d2;
-    operator L = X1^2 + X2^2;   operators as integer combinations of words
+    operator L = X1^2 + X2^2;   exactly one operator, a combination of words
     kernel heisenberg_gauge;    optional: named analytic kernel to use
     tol gamma = 1e-6;           optional: named tolerances
 
@@ -228,7 +228,8 @@ class _Parser:
         sigma: Optional[Tuple[int, ...]] = None
         names: List[str] = []
         fields: List[PolyVectorField] = []
-        operators: List[Tuple[str, List[Tuple[Fraction, Tuple[int, ...]]], Token]] = []
+        operator: Optional[Tuple[str, List[Tuple[Fraction, Tuple[int, ...]]],
+                                 Token]] = None
         kernel: Optional[str] = None
         tols: List[Tuple[str, float]] = []
         while self.peek().kind != "END":
@@ -248,7 +249,10 @@ class _Parser:
             elif tok.value == "operator":
                 if not names:
                     self.error("operator requires at least one declared field")
-                operators.append(self.parse_operator(names))
+                if operator is not None:
+                    self.error("second operator statement; a model declares "
+                               "exactly one operator")
+                operator = self.parse_operator(names)
             elif tok.value == "kernel":
                 self.advance()
                 ktok = self.expect("NAME")
@@ -271,7 +275,7 @@ class _Parser:
                 self.error(f"unknown statement {tok.value!r}")
         if sigma is None:
             self.error("model must declare a dilation")
-        if not operators:
+        if operator is None:
             self.error("model must declare an operator")
         tok0 = self.tokens[0]
         if list(sigma) != sorted(sigma):
@@ -294,7 +298,7 @@ class _Parser:
             degrees.append(deg)
         typed = [PolyVectorField(X.nvars, X.coeffs, d)
                  for X, d in zip(fields, degrees)]
-        op_name, op_terms, op_tok = operators[0]
+        op_name, op_terms, op_tok = operator
         try:
             if not op_terms or not op_terms[0][1]:
                 raise ValueError("empty word in operator")
@@ -315,6 +319,17 @@ class _Parser:
         self.expect("PUNCT", "]")
         self.expect("PUNCT", ";")
         return tuple(vals)
+
+    def parse_rational(self) -> Fraction:
+        """INT or INT/INT; a zero denominator is reported at the numerator."""
+        tok = self.expect("INT")
+        num = Fraction(int(tok.value))
+        if self.accept("PUNCT", "/"):
+            den = self.parse_int()
+            if den == 0:
+                self.error("zero denominator", tok)
+            num /= den
+        return num
 
     def parse_int(self) -> int:
         tok = self.peek()
@@ -349,14 +364,7 @@ class _Parser:
         while True:
             tok = self.peek()
             if tok.kind == "INT":
-                self.advance()
-                num = Fraction(int(tok.value))
-                if self.accept("PUNCT", "/"):
-                    den = self.parse_int()
-                    if den == 0:
-                        self.error("zero denominator", tok)
-                    num /= den
-                coeff *= num
+                coeff *= self.parse_rational()
             elif tok.kind == "NAME" and re.fullmatch(r"x\d+", tok.value):
                 self.advance()
                 idx = int(tok.value[1:])
@@ -411,11 +419,7 @@ class _Parser:
         while True:
             tok = self.peek()
             if tok.kind == "INT":
-                self.advance()
-                num = Fraction(int(tok.value))
-                if self.accept("PUNCT", "/"):
-                    num /= self.parse_int()
-                coeff *= num
+                coeff *= self.parse_rational()
                 saw_factor = True
             elif tok.kind == "NAME":
                 self.advance()

@@ -177,6 +177,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "non-integer exponent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("operator L = 1/0*X1^2 + X2^2;", "zero denominator"),
+    ("operator L = X1^2 + X2^2; operator M = X1^2;", "second operator"),
+])
+def test_operator_error_exit_code(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.model"
+    bad.write_text("dilation [1,2]; field X1 = d1; field X2 = x1*d2; " + text)
+    assert run(["analyze", "--model", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_model_exit_code(capsys):
     assert run(["analyze", "--model", "/nonexistent.model"]) == 2
     assert "not found" in capsys.readouterr().err

@@ -6,18 +6,21 @@ import random
 import numpy as np
 import pytest
 
-from rockland.fields import make_standard_operator
+from rockland.fields import make_standard_operator, operator_transpose
 from rockland.fundsol import (
     BumpSpec,
     ExistenceError,
     QuadratureConfig,
     SaturationEvaluator,
+    bump_jet,
     calibration_residuals,
+    jet_values,
     kernel_calibrate,
     smoothstep_expr,
     tensor_gl_grid,
 )
-from rockland.kernels import group_gauge, heisenberg_gauge_kernel
+from rockland.kernels import (apply_operator_sympy, group_gauge,
+                              heisenberg_gauge_kernel)
 from rockland.lifting import hom_norm_eval
 
 
@@ -84,6 +87,12 @@ def test_calibration_pole_residuals(grushin_gamma):
     res = calibration_residuals(grushin_gamma["kernel"], grushin_gamma["Lt"])
     assert len(res) == 3
     assert max(res) <= 1e-3
+
+
+def test_calibration_constant_is_one_over_two_pi(grushin_gamma):
+    """The Heisenberg gauge kernel of the Grushin lift is 1/(2 pi) rho^-2."""
+    c = grushin_gamma["kernel"].calibration_constant
+    assert c == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-6)
 
 
 def test_calibration_linearity(grushin_gamma):
@@ -269,6 +278,60 @@ def test_smoothstep_endpoints():
     for _ in range(5):
         d = sp.diff(d, t)
         assert d.subs(t, 0) == 0 and d.subs(t, 1) == 0
+
+
+def _annulus_points(rng, bump, count):
+    """Uniform points of the open annulus flat_radius < |z - c| < support."""
+    dim = len(bump.center)
+    a, b = bump.flat_radius, bump.support_radius
+    pts = []
+    while len(pts) < count:
+        z = [rng.uniform(-b, b) for _ in range(dim)]
+        if a ** 2 < sum(v * v for v in z) < b ** 2:
+            pts.append([v + c for v, c in zip(z, bump.center)])
+    return np.array(pts)
+
+
+def _sympy_star_bump(op, bump):
+    """op* applied by sympy to the annulus polynomial 1 - smoothstep(t)."""
+    import sympy as sp
+    syms = sp.symbols(f"z1:{op.nvars + 1}", real=True)
+    a2 = sp.nsimplify(bump.flat_radius ** 2)
+    b2 = sp.nsimplify(bump.support_radius ** 2)
+    r2 = sum((s - sp.nsimplify(c)) ** 2 for s, c in zip(syms, bump.center))
+    h = 1 - smoothstep_expr((r2 - a2) / (b2 - a2), bump.order)
+    g = apply_operator_sympy(operator_transpose(op), syms, h)
+    return sp.lambdify(syms, g, modules="mpmath")
+
+
+@pytest.mark.parametrize("case", ["lifted_grushin", "base_quartic"])
+def test_star_bump_jet_matches_sympy(case, grushin_gamma, grushin_quartic):
+    """The exact jet of op*(bump) agrees with sympy's derivative of it."""
+    import mpmath
+    if case == "lifted_grushin":
+        op, bump = grushin_gamma["Lt"], BumpSpec((0.0, 0.0, 0.0))
+    else:
+        op = grushin_quartic
+        bump = BumpSpec((0.75, -0.5), flat_radius=0.5, support_radius=1.25,
+                        order=5)
+    pts = _annulus_points(random.Random(2718), bump, 40)
+    got = jet_values(bump_jet(operator_transpose(op), bump.center), bump, pts)
+    ref_fn = _sympy_star_bump(op, bump)
+    with mpmath.workdps(30):
+        ref = np.array([float(ref_fn(*map(mpmath.mpf, p))) for p in pts])
+    assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+def test_bump_matches_smoothstep():
+    import sympy as sp
+    bump = BumpSpec((0.5, -1.0), flat_radius=0.75, support_radius=1.5)
+    t = sp.Symbol("t")
+    step = smoothstep_expr(t, bump.order)
+    a2, b2 = bump.flat_radius ** 2, bump.support_radius ** 2
+    for p in _annulus_points(random.Random(161), bump, 50):
+        r2 = sum((v - c) ** 2 for v, c in zip(p, bump.center))
+        ref = 1 - step.subs(t, sp.Rational((r2 - a2) / (b2 - a2)))
+        assert abs(bump(p) - float(ref)) <= 1e-12
 
 
 def test_bump_values():

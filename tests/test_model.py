@@ -94,6 +94,20 @@ def test_error_duplicate_field():
                     "operator L = X1^2;")
 
 
+def test_error_zero_denominator_in_operator():
+    with pytest.raises(ModelParseError, match="zero denominator") as ei:
+        parse_model("dilation [1,2]; field X1 = d1; field X2 = x1*d2;\n"
+                    "operator L = 1/0*X1^2 + X2^2;")
+    assert ei.value.line == 2 and ei.value.col == 14
+
+
+def test_error_second_operator():
+    with pytest.raises(ModelParseError, match="second operator") as ei:
+        parse_model("dilation [1,2]; field X1 = d1; field X2 = x1*d2;\n"
+                    "operator L = X1^2 + X2^2;\noperator M = X1^2;")
+    assert ei.value.line == 3 and ei.value.col == 1
+
+
 def test_error_unsorted_dilation():
     with pytest.raises(ModelParseError, match="nondecreasing"):
         parse_model("dilation [2,1]; field X1 = d1; operator L = X1^2;")
