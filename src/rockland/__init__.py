@@ -54,11 +54,7 @@ from .fundsol import (
     QuadratureConfig,
     SaturationEvaluator,
     calibration_residuals,
-    gamma_eval,
-    gamma_x_derivative,
     kernel_calibrate,
-    verify_homogeneity,
-    verify_left_inverse,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -297,6 +297,11 @@ def cmd_gamma(model: ModelSpec, args, rep: Report):
 
 
 def cmd_verify(model: ModelSpec, args, rep: Report):
+    unknown = [name for name, _ in model.tols if name not in VERIFY_TOLS]
+    if unknown:
+        raise ValueError(
+            f"{args.model}: unknown tolerance {', '.join(map(repr, unknown))}"
+            f" in a tol statement; known: {', '.join(VERIFY_TOLS)}")
     lifted, kernel, op_lifted, ev = _evaluator(model)
     tols = dict(VERIFY_TOLS)
     tols.update(model.tols)

@@ -6,7 +6,7 @@ Statements (each ending in ';'):
     field X2 = x1*d2;
     operator L = X1^2 + X2^2;   exactly one operator, a combination of words
     kernel heisenberg_gauge;    optional: named analytic kernel to use
-    tol gamma = 1e-6;           optional: named tolerances
+    tol left_inverse = 1e-2;    optional: a `rockland verify` tolerance
 
 Coefficients are exact rationals; exponents are nonnegative integers.  Every
 error carries the source line and column with a caret excerpt.

@@ -110,6 +110,16 @@ def test_verify_grushin(tmp_path):
     assert all(c["status"] == "pass" for c in doc["checks"])
 
 
+def test_verify_rejects_unknown_tolerance(tmp_path, capsys):
+    bad = tmp_path / "typo.model"
+    with open(model("grushin")) as fh:
+        bad.write_text(fh.read() + "tol lft_inverse = 1e-2;\n")
+    assert run(["verify", "--model", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "lft_inverse" in err
+    assert "left_inverse" in err and "tail_doubling" in err
+
+
 # -- metric commands --------------------------------------------------------------------
 
 def test_distance_grushin(tmp_path):

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from rockland.fields import make_standard_operator, operator_transpose
 from rockland.fundsol import (
@@ -12,6 +13,7 @@ from rockland.fundsol import (
     ExistenceError,
     QuadratureConfig,
     SaturationEvaluator,
+    _star_bump_quadrature,
     bump_jet,
     calibration_residuals,
     jet_values,
@@ -19,7 +21,7 @@ from rockland.fundsol import (
     smoothstep_expr,
     tensor_gl_grid,
 )
-from rockland.kernels import (apply_operator_sympy, group_gauge,
+from rockland.kernels import (KernelSpec, apply_operator_sympy, group_gauge,
                               heisenberg_gauge_kernel)
 from rockland.lifting import hom_norm_eval
 
@@ -130,6 +132,16 @@ def test_kernel_degree_mismatch_rejected(grushin, grushin_gamma):
     bad = type(K)(K.lifted, 1, K.shape, K.syms, 1.0)
     with pytest.raises(ValueError, match="nu - Q"):
         SaturationEvaluator(grushin["lifted"], grushin["L"], bad)
+
+
+def test_multi_fiber_lifting_rejected(three_var_step5):
+    import sympy as sp
+    lifted = three_var_step5["lifted"]
+    assert lifted.p > 1
+    kernel = KernelSpec(lifted, 2, sp.Integer(1),
+                        sp.symbols(f"z1:{lifted.N + 1}"))
+    with pytest.raises(ValueError, match="one lifted variable"):
+        SaturationEvaluator(lifted, three_var_step5["L"], kernel)
 
 
 def test_pole_rejected(grushin_gamma):
@@ -264,6 +276,43 @@ def test_left_inverse_rescaled_bump(grushin_gamma):
     residual = ev.verify_left_inverse(
         BumpSpec((0.5, 0.0), flat_radius=0.5, support_radius=1.0), [0.5, 0.0])
     assert residual <= 5e-3
+
+
+def test_gamma_batch_matches_pointwise(grushin_gamma):
+    """One quad_vec pass agrees with per-point quad, near the pole and far."""
+    ev = grushin_gamma["ev"]
+    rng = random.Random(4242)
+    y = [0.3, -0.2]
+    offsets = [[rng.uniform(-2, 2), rng.uniform(-2, 2)] for _ in range(20)]
+    offsets += [[1e-3, 0.0], [0.0, 1e-4], [30.0, 30.0], [-50.0, 400.0]]
+    xs = [[a + y[0], b + y[1]] for a, b in offsets]
+    batch = ev.gamma_batch(xs, y)
+    ref = np.array([ev.gamma_record(x, y).value for x in xs])
+    assert np.max(np.abs(batch.value - ref) / np.abs(ref)) <= 1e-10
+    assert np.all(batch.tail_bound <= batch.error_bound)
+
+
+@pytest.mark.parametrize("bump, y", [
+    (BumpSpec((0.0, 0.0)), [0.0, 0.0]),
+    (BumpSpec((30.0, 30.0)), [1.0, 0.0]),
+    (BumpSpec((0.5, 0.0), flat_radius=0.5, support_radius=1.0), [0.5, 0.0]),
+])
+def test_left_inverse_matches_pointwise_sum(grushin_gamma, bump, y):
+    ev = grushin_gamma["ev"]
+    jet = bump_jet(operator_transpose(ev.operator), bump.center)
+    pts, gws = _star_bump_quadrature(jet, bump, panels=2, nodes=4)
+    total = sum(gw * ev.gamma_record(pt, y, rel_tol=1e-6).value
+                for pt, gw in zip(pts, gws))
+    residual = ev.verify_left_inverse(bump, y, panels=2, nodes=4)
+    assert residual == pytest.approx(abs(total + bump(y)), abs=1e-10)
+
+
+def test_gamma_batch_warns_without_convergence(grushin, grushin_gamma):
+    ev = SaturationEvaluator(grushin["lifted"], grushin["L"],
+                             grushin_gamma["kernel"],
+                             QuadratureConfig(max_subdivisions=10))
+    with pytest.warns(IntegrationWarning, match="quad_vec"):
+        ev.gamma_batch([[1.0, 0.0], [1e-3, 0.0]], [0.0, 0.0], rel_tol=1e-14)
 
 
 # -- plumbing ----------------------------------------------------------------------
