@@ -52,7 +52,7 @@ for c in space.doubling_check([0.0, 0.0], [0.5, 1.0, 2.0], 300, seed=3):
     print(f"r = {c['radius']:4.1f}  ratio = {c['ratio']:.2f}"
           f"  CI [{c['ratio_lo']:.2f}, {c['ratio_hi']:.2f}]")
 
-print("\n== estimate scan at derivative order 1 (needs the kernel; ~30 s)")
+print("\n== estimate scan at derivative order 1 (needs the kernel)")
 lifted = build_lifting(basis, sc, delta)
 L = make_standard_operator("sublaplacian_power", gens, k=1)
 Lt = L.with_fields(lifted.lifted_fields)

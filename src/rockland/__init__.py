@@ -38,9 +38,7 @@ from .metric import (
     DistanceResult,
     MetricSpace,
     VolumeResult,
-    ball_volume,
     derivative_words,
-    distance,
     endpoint,
     estimate_scan,
     volume_interpolator,

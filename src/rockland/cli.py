@@ -358,7 +358,7 @@ def cmd_distance(model: ModelSpec, args, rep: Report):
         rows.append({"x": x, "y": y, "lower": res.lower, "upper": res.upper,
                      "seed": res.seed})
     rep.doc["results"] = {"tol": tol, "pairs": rows,
-                          "lower_is_search_certificate": True}
+                          "lower_is_box_certificate": True}
     rep.check("distance_bracket_ordered", max(0.0, worst), 0.0, args.seed)
     header = ["x", "y", "lower", "upper"]
     return header, [[";".join(map(str, r["x"])), ";".join(map(str, r["y"])),

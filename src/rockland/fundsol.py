@@ -38,7 +38,7 @@ from .lifting import (
     hom_norm_eval,
     invert_graded_map,
 )
-from .poly import Poly, poly_eval, substitute
+from .poly import CompiledPolys, Poly, poly_eval, substitute
 
 
 class ExistenceError(ValueError):
@@ -190,27 +190,16 @@ def tensor_gl_grid(bounds: Sequence[Tuple[float, float]], panels: int,
     return pts, weight
 
 
-def _poly_eval_arrays(p: Poly, coords: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(coords[0], dtype=float)
-    for mono, c in p.terms.items():
-        term = np.full_like(coords[0], float(c), dtype=float)
-        for v, e in zip(coords, mono):
-            if e:
-                term = term * v ** e
-        out = out + term
-    return out
-
-
 # -- kernel calibration ----------------------------------------------------------
 
 def jet_values(jet: Dict[int, Poly], bump: BumpSpec,
                pts: np.ndarray) -> np.ndarray:
     """Sum_k h^(k)(s) P_k(z) at points (M, dim) inside the bump's annulus."""
     s = np.sum((pts - np.asarray(bump.center)) ** 2, axis=1)
-    coords = list(pts.T)
+    values = CompiledPolys(list(jet.values()))(pts.T)
     out = np.zeros_like(s)
-    for k, pk in jet.items():
-        out += bump.profile_derivative(k, s) * _poly_eval_arrays(pk, coords)
+    for k, pk in zip(jet, values):
+        out += bump.profile_derivative(k, s) * pk
     return out
 
 
@@ -234,8 +223,10 @@ def _translated_kernel_values(kernel: KernelSpec, pole: Sequence,
     lifted = kernel.lifted
     inv_pole = [float(v) for v in lifted.inverse_eval(
         [Fraction(v) for v in pole])]
-    coords = [np.full(pts.shape[0], v) for v in inv_pole] + list(pts.T)
-    args = [_poly_eval_arrays(m, coords) for m in lifted.mult]
+    coords = np.empty((2 * len(inv_pole), len(pts)))
+    coords[:len(inv_pole)] = np.asarray(inv_pole)[:, None]
+    coords[len(inv_pole):] = pts.T
+    args = CompiledPolys(lifted.mult)(coords)
     fn = sp.lambdify(kernel.syms, kernel.shape, modules="numpy")
     return fn(*args)
 
@@ -499,9 +490,10 @@ class SaturationEvaluator:
         xs = np.asarray(xs, dtype=float)
         ys = np.broadcast_to(np.asarray(ys, dtype=float), xs.shape)
         args = list(xs.T) + list(ys.T)
-        coords = args + [np.zeros(len(xs))]
-        g0 = sum(np.abs(_poly_eval_arrays(m, coords)) ** (1.0 / e)
-                 for m, e in zip(self._g_maps, self._gauge_D.exponents))
+        g_at0 = CompiledPolys(self._g_maps)(
+            np.vstack(args + [np.zeros(len(xs))]))
+        g0 = sum(np.abs(g) ** (1.0 / e)
+                 for g, e in zip(g_at0, self._gauge_D.exponents))
         if np.any(g0 <= 0.0):
             raise ValueError("pole: the two points coincide (x == y)")
         s_e, t_const = self._tail_constants("plain", ())

@@ -12,16 +12,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy as sp
-from scipy import optimize
+from scipy import optimize  # unused here; perfbench/layers.py's tracer reads it
 
 from .fields import DilationFamily, PolyVectorField, certify_homogeneity
-from .kernels import poly_to_sympy
 from .lifting import FLOW_ITERATION_CAP, exp_flow, flow_map
-from .poly import Poly, embed, poly_diff
+from .poly import CompiledPolys, Poly, embed, poly_diff
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class ControlPath:
 @dataclass(frozen=True)
 class DistanceResult:
     upper: float
-    lower: float   # largest scale the multi-start search certified infeasible
+    lower: float   # largest scale whose certified excursion box excludes y
     path: Optional[ControlPath]
     seed: int
 
@@ -67,11 +65,37 @@ class VolumeResult:
 @dataclass(frozen=True)
 class DistanceConfig:
     segment_schedule: Tuple[int, ...] = (4, 8, 16)
-    starts: int = 4
+    starts: int = 16
     tol: float = 1e-3
     reach_tol: float = 1e-9
     max_doublings: int = 60
     maxiter: int = 200
+
+
+class FeasibleBatch(NamedTuple):
+    """Per-target outcome of one batched feasibility solve.
+
+    ``hits`` comes first: perfbench/layers.py counts bool(result[0]) as a
+    successful solve.
+    """
+
+    hits: int                 # targets reached
+    ok: np.ndarray            # (T,) target reached within reach
+    controls: np.ndarray      # (T, S*m) first successful start, else the best
+
+
+# projected Levenberg-Marquardt in `feasible`: damping relative to the mean
+# diagonal of J J^T, divided after an accepted step and multiplied after a
+# rejected one; a member gives up once the damping passes the cap or its
+# squared residual has not fallen below _STALL_FACTOR times its value
+# _STALL_WINDOW iterations earlier
+_DAMPING_START = 1e-3
+_DAMPING_DOWN = 3.0
+_DAMPING_UP = 4.0
+_DAMPING_CAP = 1e10
+_STALL_WINDOW = 5
+_STALL_FACTOR = 0.9
+_ACTIVE_SET_PASSES = 8
 
 
 def endpoint(x: Sequence, path: ControlPath,
@@ -126,6 +150,12 @@ class MetricSpace:
     # -- compiled time-1 flow in (x, controls) --------------------------------
 
     def _compile_flow(self) -> None:
+        """One evaluator for the time-1 flow and its exact Jacobians.
+
+        At B points (x, controls) given as the columns of an array
+        (n + m, B) it returns (n + n*n + n*m, B): the endpoint, then
+        d(endpoint)/dx row by row, then d(endpoint)/da row by row.
+        """
         n, m = self.n, self.m
         nv = n + m
         V = PolyVectorField.zero(nv)
@@ -135,61 +165,123 @@ class MetricSpace:
                 + (Poly.zero(nv),) * m
             V = V.add(PolyVectorField(nv, coeffs))
         maps = flow_map(V, range(n), FLOW_ITERATION_CAP)
-        syms = sp.symbols(f"s1:{nv + 1}", real=True)
-        exprs = [poly_to_sympy(p, syms) for p in maps]
-        jx = [[poly_to_sympy(poly_diff(p, k), syms) for k in range(n)]
-              for p in maps]
-        ja = [[poly_to_sympy(poly_diff(p, n + j), syms) for j in range(m)]
-              for p in maps]
-        self._flow = sp.lambdify(syms, sp.Matrix(exprs), modules="numpy")
-        self._flow_jx = sp.lambdify(syms, sp.Matrix(jx), modules="numpy")
-        self._flow_ja = sp.lambdify(syms, sp.Matrix(ja), modules="numpy")
+        self._flow = CompiledPolys(
+            maps + [poly_diff(p, k) for p in maps for k in range(n)]
+            + [poly_diff(p, n + j) for p in maps for j in range(m)])
 
-    def _objective(self, x: np.ndarray, y: np.ndarray,
-                   controls: np.ndarray, S: int):
+    def _flow_batch(self, x: np.ndarray, controls: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Endpoints (B, n) and d(endpoint)/d(controls) (B, n, S*m).
+
+        ``controls`` is (B, S, m), the time-1 controls of each segment; the
+        control Jacobian chains the per-segment Jacobians backwards.
+        """
         n, m = self.n, self.m
-        b = controls.reshape(S, m)
-        pts = [x]
+        B, S = controls.shape[:2]
+        pts = np.empty((n + m, B))
+        pts[:n] = np.asarray(x)[:, None]
+        jx, ja = [], []
         for s in range(S):
-            pts.append(np.asarray(
-                self._flow(*pts[-1], *b[s]), dtype=float).ravel())
-        diff = pts[-1] - y
-        obj = float(diff @ diff)
-        grad_p = 2.0 * diff
-        grad = np.zeros((S, m))
-        for s in reversed(range(S)):
-            args = (*pts[s], *b[s])
-            grad[s] = grad_p @ np.asarray(self._flow_ja(*args), dtype=float)
-            grad_p = grad_p @ np.asarray(self._flow_jx(*args), dtype=float)
-        return obj, grad.ravel()
+            pts[n:] = controls[:, s].T
+            out = self._flow(pts)
+            pts[:n] = out[:n]
+            jx.append(out[n:n + n * n].T.reshape(B, n, n))
+            ja.append(out[n + n * n:].T.reshape(B, n, m))
+        J = np.empty((B, n, S, m))
+        J[:, :, -1] = ja[-1]
+        chain = jx[-1]
+        for s in reversed(range(S - 1)):
+            J[:, :, s] = chain @ ja[s]
+            chain = chain @ jx[s]
+        return pts[:n].T, J.reshape(B, n, S * m)
 
     # -- feasibility and distance ----------------------------------------------
 
-    def feasible(self, x: Sequence[float], y: Sequence[float], scale: float,
-                 segments: int, rng: random.Random,
-                 reach: float, starts: Optional[int] = None
-                 ) -> Tuple[bool, Optional[np.ndarray], float]:
-        """Search for a path of the given scale connecting x to y."""
+    def feasible(self, x: Sequence[float], ys, scale: float, segments: int,
+                 rng: random.Random, reach: float,
+                 starts: Optional[int] = None) -> FeasibleBatch:
+        """Search for paths of the given scale from x to each target.
+
+        ``ys`` is one target (n,) or T targets (T, n).  Every target gets
+        the same number of starts: start 0 is all zeros, the others are
+        drawn from ``rng``.  All T * starts members run one projected
+        Levenberg-Marquardt loop in the unit box u = controls / bound: the
+        minimum-norm step -J^T (J J^T + lambda I)^{-1} r, with controls
+        that sit at their bound and would step outwards frozen, then
+        clipped to the box.
+        """
         cfg = self.config
-        S, m = segments, self.m
-        xv, yv = np.asarray(x, float), np.asarray(y, float)
-        hi = np.array([[scale ** nu / S for nu in self.degrees]] * S).ravel()
-        bounds = list(zip(-hi, hi))
-        best, best_obj = None, math.inf
-        for trial in range(starts or cfg.starts):
-            if trial == 0:
-                c0 = np.zeros(S * m)
-            else:
-                c0 = np.array([rng.uniform(-h, h) for h in hi])
-            res = optimize.minimize(
-                lambda c: self._objective(xv, yv, c, S), c0, jac=True,
-                method="L-BFGS-B", bounds=bounds,
-                options={"maxiter": cfg.maxiter, "ftol": 1e-18, "gtol": 1e-14})
-            if res.fun < best_obj:
-                best, best_obj = res.x, res.fun
-            if math.sqrt(max(res.fun, 0.0)) <= reach:
-                return True, res.x, res.fun
-        return False, best, best_obj
+        n, m, S = self.n, self.m, segments
+        K = starts or cfg.starts
+        xv = np.asarray(x, float)
+        ys = np.asarray(ys, float).reshape(-1, n)
+        T = len(ys)
+        hi = np.tile([scale ** nu / S for nu in self.degrees], S)
+        u = np.zeros((T, K, S * m))
+        if K > 1:
+            gen = np.random.default_rng(rng.getrandbits(64))
+            u[:, 1:] = gen.uniform(-1.0, 1.0, (T, K - 1, S * m))
+        u = u.reshape(T * K, S * m)
+        target = np.repeat(ys, K, axis=0)
+        start = np.tile(np.arange(K), T)
+        owner = np.repeat(np.arange(T), K)
+
+        def residual(u, live):
+            p, J = self._flow_batch(xv, (u * hi).reshape(-1, S, m))
+            r = p - target[live]
+            return r, np.einsum("bi,bi->b", r, r), J * hi
+
+        # member state; `live` holds the global indices of running members
+        live = np.arange(T * K)
+        r, f, J = residual(u, live)
+        lam = np.full(len(live), _DAMPING_START)
+        history = [f]
+        eye = np.eye(n)
+        final_u = np.empty_like(u)
+        final_f = np.empty(T * K)
+        won = np.full(T, K)   # first successful start per target
+        for it in range(cfg.maxiter + 1):
+            done = f <= reach * reach
+            np.minimum.at(won, owner[live[done]], start[live[done]])
+            done |= (lam > _DAMPING_CAP) | (it == cfg.maxiter)
+            if it >= _STALL_WINDOW:
+                done |= f > _STALL_FACTOR * history[-_STALL_WINDOW - 1]
+            done |= start[live] >= won[owner[live]]
+            if done.any():
+                final_u[live[done]] = u[done]
+                final_f[live[done]] = f[done]
+                keep = ~done
+                if not keep.any():
+                    break
+                live, u, r, f, J, lam = (a[keep] for a in (live, u, r, f, J, lam))
+                history = [h[keep] for h in history[-_STALL_WINDOW:]]
+            # the floor keeps the n x n solve regular where J vanishes
+            damping = lam * np.maximum(np.einsum("bij,bij->b", J, J) / n,
+                                       1e-200)
+            free = np.ones(u.shape, bool)
+            Jf = J
+            for _ in range(_ACTIVE_SET_PASSES):
+                A = Jf @ Jf.transpose(0, 2, 1) + damping[:, None, None] * eye
+                w = np.linalg.solve(A, r[..., None])
+                step = -(Jf.transpose(0, 2, 1) @ w)[..., 0]
+                outward = free & (np.abs(u) >= 1.0) & (step * u > 0)
+                if not outward.any():
+                    break
+                free &= ~outward
+                Jf = J * free[:, None, :]
+            trial = np.clip(u + step, -1.0, 1.0)
+            r_t, f_t, J_t = residual(trial, live)
+            better = f_t < f
+            u = np.where(better[:, None], trial, u)
+            r = np.where(better[:, None], r_t, r)
+            J = np.where(better[:, None, None], J_t, J)
+            f = np.where(better, f_t, f)
+            lam = np.where(better, lam / _DAMPING_DOWN, lam * _DAMPING_UP)
+            history.append(f)
+        ok = won < K
+        pick = np.where(ok, won, np.argmin(final_f.reshape(T, K), axis=1))
+        return FeasibleBatch(int(ok.sum()), ok,
+                             final_u[np.arange(T) * K + pick] * hi)
 
     def _reach_tol(self, x: Sequence[float], y: Sequence[float]) -> float:
         span = max(abs(float(a) - float(b)) for a, b in zip(x, y))
@@ -198,7 +290,11 @@ class MetricSpace:
     def distance(self, x: Sequence[float], y: Sequence[float],
                  tol: Optional[float] = None, seed: int = 2024
                  ) -> DistanceResult:
-        """Bisection on the scale; feasibility by multi-start minimization."""
+        """Bisection on the scale; feasibility by the batched multi-start solve.
+
+        ``lower`` is the ball-box certificate of ``box_lower``; the search
+        bisects between it (or a larger failed scale) and a feasible scale.
+        """
         cfg = self.config
         tol = tol if tol is not None else cfg.tol
         if all(float(a) == float(b) for a, b in zip(x, y)):
@@ -211,9 +307,9 @@ class MetricSpace:
 
         def feas(scale: float) -> Tuple[bool, Optional[np.ndarray], int]:
             for S in cfg.segment_schedule:
-                ok, ctr, _ = self.feasible(x, y, scale, S, rng, reach)
-                if ok:
-                    return True, ctr, S
+                res = self.feasible(x, y, scale, S, rng, reach)
+                if res.hits:
+                    return True, res.controls[0], S
             return False, None, cfg.segment_schedule[0]
 
         lo, hi, path = 0.0, None, None
@@ -227,6 +323,8 @@ class MetricSpace:
         if hi is None:
             raise RuntimeError("feasibility search stagnated; no path found "
                                f"up to scale {scale / 2.0}")
+        lower = self.box_lower(x, y, hi, tol)
+        lo = max(lo, lower)
         while hi - lo > tol * hi:
             mid = 0.5 * (hi + lo)
             ok, ctr, S = feas(mid)
@@ -237,7 +335,7 @@ class MetricSpace:
         ctr, S = path
         segs = tuple((1.0 / S, tuple(float(v) * S for v in ctr[s * self.m:(s + 1) * self.m]))
                      for s in range(S))
-        return DistanceResult(hi, lo, ControlPath(segs, hi), seed)
+        return DistanceResult(hi, lower, ControlPath(segs, hi), seed)
 
     # -- certified anisotropic bounding box -------------------------------------
 
@@ -262,6 +360,29 @@ class MetricSpace:
             B[i] = total * 1.000001  # float-rounding headroom
         return B
 
+    def box_lower(self, x: Sequence[float], y: Sequence[float], r_max: float,
+                  tol: float) -> float:
+        """Largest r in (0, r_max], to tol * r_max, with y outside the box.
+
+        Every path of scale <= r stays in box_bounds(x, r), so y outside it
+        means d(x, y) > r: the ball-box principle (Nagel-Stein-Wainger, Acta
+        Math. 155, 1985).  The box grows with r, so bisection applies.
+        """
+        def excluded(r: float) -> bool:
+            return any(abs(float(a) - float(b)) > bound
+                       for a, b, bound in zip(x, y, self.box_bounds(x, r)))
+
+        if excluded(r_max):
+            return r_max
+        lo, hi = 0.0, r_max
+        while hi - lo > tol * r_max:
+            mid = 0.5 * (lo + hi)
+            if excluded(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
     # -- Monte Carlo ball volume -------------------------------------------------
 
     def ball_volume(self, x: Sequence[float], r: float,
@@ -269,8 +390,8 @@ class MetricSpace:
                     membership_relax: float = 3.0) -> VolumeResult:
         """MC volume of the ball of radius r; membership biased to over-count.
 
-        Membership is one feasibility solve at scale r with the reach
-        tolerance relaxed by membership_relax times the distance tolerance.
+        All samples are drawn first; their membership comes from one batched
+        feasibility solve at scale r, with reach membership_relax * tol * r.
         """
         if r <= 0:
             raise ValueError("radius must be positive")
@@ -279,13 +400,10 @@ class MetricSpace:
         B = self.box_bounds(x, r)
         box_volume = math.prod(2.0 * b for b in B)
         reach = membership_relax * cfg.tol * r
-        S = cfg.segment_schedule[0]
-        hits = 0
-        for _ in range(n_samples):
-            u = [float(xi) + rng.uniform(-b, b) for xi, b in zip(x, B)]
-            ok, _, _ = self.feasible(x, u, r, S, rng, reach)
-            if ok:
-                hits += 1
+        samples = [[float(xi) + rng.uniform(-b, b) for xi, b in zip(x, B)]
+                   for _ in range(n_samples)]
+        hits = self.feasible(x, samples, r, cfg.segment_schedule[0], rng,
+                             reach).hits
         p = hits / n_samples
         est = box_volume * p
         half = 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / n_samples) / n_samples)
@@ -442,17 +560,3 @@ def estimate_scan(ev, space: MetricSpace, order: int,
                                     word, d, vol, z, ratio))
     sup_ratio = max(row.ratio for row in rows)
     return EstimateScanReport(order, critical, tuple(rows), sup_ratio, r0)
-
-
-# -- module-level operation wrappers -------------------------------------------
-
-def distance(x: Sequence[float], y: Sequence[float],
-             fields: Sequence[PolyVectorField], delta: DilationFamily,
-             tol: float = 1e-3, seed: int = 2024,
-             config: Optional[DistanceConfig] = None) -> DistanceResult:
-    return MetricSpace(fields, delta, config).distance(x, y, tol, seed)
-
-
-def ball_volume(space: MetricSpace, x: Sequence[float], r: float,
-                n_samples: int = 400, seed: int = 7071) -> VolumeResult:
-    return space.ball_volume(x, r, n_samples, seed)

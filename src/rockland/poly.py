@@ -21,6 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple, Union
 
+import numpy as np
+
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
 
@@ -198,6 +200,62 @@ def poly_eval(a: Poly, point: Sequence) -> object:
                 term = term * v ** e
         total = total + term
     return total
+
+
+_EVAL_BLOCK = 8192
+
+
+class CompiledPolys:
+    """Float evaluation of several polynomials at arrays of points.
+
+    The union of the monomials becomes one exponent table and the
+    coefficients one matrix (K, P); evaluating M points takes one table of
+    coordinate powers, one gather of each monomial's factors, their
+    products and one matmul.
+    """
+
+    def __init__(self, polys: Sequence[Poly]) -> None:
+        nvars = polys[0].nvars
+        index: Dict[Exponent, int] = {}
+        for p in polys:
+            if p.nvars != nvars:
+                raise ValueError("polynomials live in different spaces")
+            for mono in p.terms:
+                index.setdefault(mono, len(index))
+        self.nvars = nvars
+        exponents = np.array(list(index), dtype=int).reshape(-1, nvars)
+        self.coeffs = np.zeros((len(index), len(polys)))
+        for col, p in enumerate(polys):
+            for mono, c in p.terms.items():
+                self.coeffs[index[mono], col] = float(c)
+        # each monomial as its factors x_var^exp, padded with x_0^0 to the
+        # largest number of variables in one monomial
+        width = max([1] + [int(np.count_nonzero(e)) for e in exponents])
+        self._factor_var = np.zeros((len(index), width), dtype=int)
+        self._factor_exp = np.zeros((len(index), width), dtype=int)
+        for k, e in enumerate(exponents):
+            used = np.flatnonzero(e)
+            self._factor_var[k, :len(used)] = used
+            self._factor_exp[k, :len(used)] = e[used]
+        self._degree = int(exponents.max(initial=0))
+
+    def __call__(self, x) -> np.ndarray:
+        """Values (P, M) at M points given as the columns of x (nvars, M)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or len(x) != self.nvars:
+            raise ValueError(f"points must be an array ({self.nvars}, M), "
+                             f"got shape {x.shape}")
+        out = np.empty((self.coeffs.shape[1], x.shape[1]))
+        # blocks of points bound the (K, width, block) table of factors
+        for lo in range(0, x.shape[1], _EVAL_BLOCK):
+            block = x[:, lo:lo + _EVAL_BLOCK]
+            powers = np.empty((self._degree + 1,) + block.shape)
+            powers[0] = 1.0
+            for k in range(1, self._degree + 1):
+                powers[k] = powers[k - 1] * block
+            mono = powers[self._factor_exp, self._factor_var].prod(axis=1)
+            np.matmul(self.coeffs.T, mono, out=out[:, lo:lo + _EVAL_BLOCK])
+        return out
 
 
 def graded_degree_of_monomial(mono: Exponent, sigma: Sequence[int]) -> int:

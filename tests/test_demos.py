@@ -10,7 +10,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 @pytest.mark.parametrize("script", ["01_lifting_walkthrough.py",
-                                    "02_fundamental_solution.py"])
+                                    "02_fundamental_solution.py",
+                                    "03_metric_and_estimates.py"])
 def test_demo_runs(script):
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")

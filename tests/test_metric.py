@@ -2,9 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from rockland.fields import PolyVectorField
+from rockland.lifting import FLOW_ITERATION_CAP, flow_map
 from rockland.metric import (
     ControlPath,
     DistanceResult,
@@ -15,6 +19,20 @@ from rockland.metric import (
     volume_interpolator,
     volume_slope,
 )
+from rockland.poly import Poly, embed, poly_diff, poly_eval
+
+
+@pytest.fixture(params=["grushin", "three_var_step5"])
+def system(request):
+    """A bundled system with its metric space."""
+    sysd = request.getfixturevalue(request.param)
+    return sysd, MetricSpace(sysd["gens"], sysd["delta"])
+
+
+def path_from_controls(ctr, S, m, scale):
+    """The ControlPath of feasible()'s time-1 segment controls."""
+    return ControlPath(tuple((1.0 / S, tuple(float(v) * S for v in ctr[s * m:(s + 1) * m]))
+                             for s in range(S)), scale)
 
 
 # -- endpoints ----------------------------------------------------------------------
@@ -53,7 +71,20 @@ def test_distance_zero(grushin_metric):
 def test_distance_grushin_unit(grushin_metric):
     res = grushin_metric.distance([0.0, 0.0], [1.0, 0.0])
     assert abs(res.upper - 1.0) <= 1e-3
-    assert res.lower <= res.upper
+    assert res.lower <= 1.0 <= res.upper
+
+
+def test_distance_lower_is_box_certificate(system):
+    """lower <= upper, and y lies outside the excursion box of radius lower."""
+    _, space = system
+    rng = random.Random(8)
+    for _ in range(3):
+        x = [rng.uniform(-1, 1) for _ in range(space.n)]
+        y = [rng.uniform(-1, 1) for _ in range(space.n)]
+        res = space.distance(x, y, tol=1e-2, seed=3)
+        assert 0.0 < res.lower <= res.upper
+        B = space.box_bounds(x, res.lower)
+        assert any(abs(a - b) > bound for a, b, bound in zip(x, y, B))
 
 
 def test_distance_bracket_and_path(grushin, grushin_metric):
@@ -102,6 +133,89 @@ def test_distance_seeded_reproducible(grushin_metric):
     assert a.upper == b.upper and a.lower == b.lower
 
 
+# -- compiled flow and the batched feasibility solve -----------------------------
+
+def test_compiled_flow_matches_exact(system):
+    """Flow and Jacobians against endpoint() and exact poly_diff values."""
+    sysd, space = system
+    n, m = space.n, space.m
+    nv = n + m
+    V = PolyVectorField.zero(nv)
+    for j, X in enumerate(space.fields):
+        coeffs = tuple(embed(c, nv) * Poly.var(nv, n + j) for c in X.coeffs)
+        V = V.add(PolyVectorField(nv, coeffs + (Poly.zero(nv),) * m))
+    maps = flow_map(V, range(n), FLOW_ITERATION_CAP)
+    rng = random.Random(5)
+    pts = [[Fraction(rng.randint(-64, 64), 32) for _ in range(nv)]
+           for _ in range(6)]
+    out = space._flow(np.array(pts, dtype=float).T)
+    for pt, row in zip(pts, out.T):
+        x, a = pt[:n], pt[n:]
+        exact = endpoint(x, ControlPath(((1, tuple(a)),), 1.0), sysd["gens"])
+        jx = [poly_eval(poly_diff(p, k), pt) for p in maps for k in range(n)]
+        ja = [poly_eval(poly_diff(p, n + j), pt) for p in maps for j in range(m)]
+        for got, want in zip(row, exact + jx + ja):
+            assert abs(got - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
+
+
+def test_flow_batch_chains_segment_jacobians(system):
+    """The control Jacobian of a multi-segment path, against central
+    differences of the exact endpoint."""
+    sysd, space = system
+    n, m, S = space.n, space.m, 3
+    rng = random.Random(6)
+    x = [Fraction(rng.randint(-32, 32), 32) for _ in range(n)]
+    ctr = [Fraction(rng.randint(-32, 32), 64) for _ in range(S * m)]
+    p, J = space._flow_batch(np.array(x, float),
+                             np.array(ctr, float).reshape(1, S, m))
+
+    def end(c):
+        segs = tuple((Fraction(1, S), tuple(v * S for v in c[s * m:(s + 1) * m]))
+                     for s in range(S))
+        return endpoint(x, ControlPath(segs, 1.0), sysd["gens"])
+
+    base = end(ctr)
+    assert np.allclose(p[0], [float(v) for v in base], rtol=0, atol=1e-12)
+    h = Fraction(1, 10 ** 4)
+    for k in range(S * m):
+        up = end([v + h * (i == k) for i, v in enumerate(ctr)])
+        dn = end([v - h * (i == k) for i, v in enumerate(ctr)])
+        fd = [float((a - b) / (2 * h)) for a, b in zip(up, dn)]
+        assert np.allclose(J[0, :, k], fd, rtol=0, atol=1e-6)
+
+
+def test_feasible_reports_only_genuine_paths(system):
+    """A mixed batch: every reported success reaches its target within
+    reach by an in-bounds path, and no target outside the certified box is
+    reported feasible."""
+    sysd, space = system
+    n, m, S, r = space.n, space.m, 4, 0.8
+    rng = random.Random(9)
+    x = [rng.uniform(-0.5, 0.5) for _ in range(n)]
+    B = space.box_bounds(x, r)
+    reachable = []
+    for _ in range(6):
+        segs = tuple((1.0 / S, tuple(rng.uniform(-1, 1) * r ** nu
+                                     for nu in space.degrees))
+                     for _ in range(S))
+        reachable.append(endpoint(x, ControlPath(segs, r), sysd["gens"]))
+    outside = [[xi + rng.choice((-1, 1)) * 1.5 * b if i == k else xi
+                for i, (xi, b) in enumerate(zip(x, B))]
+               for k in range(n)]
+    targets = reachable + outside
+    reach = 1e-6
+    res = space.feasible(x, targets, r, S, random.Random(1), reach)
+    assert res.hits == int(res.ok.sum())
+    assert not res.ok[len(reachable):].any()
+    assert res.ok[:len(reachable)].sum() >= len(reachable) // 2
+    for ok, ctr, y in zip(res.ok, res.controls, targets):
+        if ok:
+            path = path_from_controls(ctr, S, m, r)
+            assert path.check_bounds(space.degrees)
+            got = endpoint(x, path, sysd["gens"])
+            assert math.dist(got, y) <= reach
+
+
 # -- bounding box certificate -----------------------------------------------------
 
 def test_box_bounds_certify(grushin, grushin_metric):
@@ -128,6 +242,19 @@ def test_volume_positive_and_monotone(grushin_metric):
     assert v1.estimate > 0
     assert v1.confidence_interval[0] <= v2.confidence_interval[1]
     assert v1.confidence_interval[0] <= v1.estimate <= v1.confidence_interval[1]
+
+
+def test_volume_reproducible(system):
+    """The seed fixes the samples and every random start."""
+    _, space = system
+    x = [0.1] * space.n
+    a = space.ball_volume(x, 0.5, 40, seed=17)
+    assert a == space.ball_volume(x, 0.5, 40, seed=17)
+    assert a.hits > 0
+    ys = [[0.1 + 0.3 * k] * space.n for k in range(1, 4)]
+    runs = [space.feasible(x, ys, 0.5, 4, random.Random(3), 1e-9)
+            for _ in range(2)]
+    assert np.array_equal(runs[0].controls, runs[1].controls)
 
 
 def test_volume_slope_at_origin(grushin_metric):

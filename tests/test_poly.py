@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rockland.poly import (
+    CompiledPolys,
     Poly,
     graded_components,
     is_graded_homogeneous,
@@ -135,3 +137,20 @@ def test_serialization_deterministic():
     a = x(1) * Fraction(-1, 3) + x(0) ** 2 * x(1) * 2
     assert to_string(a) == "2*x1^2*x2 - 1/3*x2"
     assert to_string(Poly.zero(2)) == "0"
+
+
+def test_compiled_polys_match_poly_eval():
+    """Float evaluation of several polynomials at once, including the zero
+    and a constant polynomial, across more points than one evaluation block."""
+    rng = random.Random(23)
+    polys = [random_poly(rng, 3) for _ in range(4)] + [Poly.zero(3),
+                                                       Poly.const(3, 5)]
+    pts = np.random.default_rng(23).uniform(-2, 2, (3, 8200))
+    got = CompiledPolys(polys)(pts)
+    assert got.shape == (len(polys), pts.shape[1])
+    for j in (0, 1, 4097, 8191, 8192, 8199):
+        want = [float(poly_eval(p, [Fraction(v) for v in pts[:, j]]))
+                for p in polys]
+        assert np.allclose(got[:, j], want, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="points"):
+        CompiledPolys(polys)(pts.T)
