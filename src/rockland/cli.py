@@ -154,8 +154,14 @@ def _algebra(model: ModelSpec):
     return generate_lie_algebra(list(model.fields), model.delta)
 
 
-def _evaluator(model: ModelSpec):
-    """Lifted system, calibrated kernel and saturation evaluator, or raise."""
+def _lifting(model: ModelSpec, algebra=None):
+    basis, sc = algebra or _algebra(model)
+    return build_lifting(basis, sc, model.delta)
+
+
+def _evaluator(model: ModelSpec, lifted=None):
+    """Lifted system (built unless given), calibrated kernel and saturation
+    evaluator, or raise."""
     q = sum(model.sigma)
     if model.operator.nu >= q:
         raise ExistenceError(
@@ -167,8 +173,7 @@ def _evaluator(model: ModelSpec):
             "model declares no kernel; fundamental-solution evaluation needs "
             "a closed-form homogeneous kernel on the lifted group "
             "(declare 'kernel heisenberg_gauge;' for step-2 rank-2 lifts)")
-    basis, sc = _algebra(model)
-    lifted = build_lifting(basis, sc, model.delta)
+    lifted = lifted or _lifting(model)
     shape = heisenberg_gauge_kernel(lifted, nu=model.operator.nu)
     op_lifted = model.operator.with_fields(lifted.lifted_fields)
     kernel = kernel_calibrate(shape, lifted, op_lifted)
@@ -178,8 +183,11 @@ def _evaluator(model: ModelSpec):
 
 # -- commands -------------------------------------------------------------------------
 
-def cmd_analyze(model: ModelSpec, args, rep: Report):
-    basis, sc = _algebra(model)
+# analyze, lift and verify take the algebra or the lifting when report has
+# already built it
+
+def cmd_analyze(model: ModelSpec, args, rep: Report, algebra=None):
+    basis, sc = algebra or _algebra(model)
     n = model.n
     step = nilpotency_step(sc, basis.degrees)
     rng = random.Random(args.seed)
@@ -203,9 +211,8 @@ def cmd_analyze(model: ModelSpec, args, rep: Report):
                                  for r in table]
 
 
-def cmd_lift(model: ModelSpec, args, rep: Report):
-    basis, sc = _algebra(model)
-    lifted = build_lifting(basis, sc, model.delta)
+def cmd_lift(model: ModelSpec, args, rep: Report, lifted=None):
+    lifted = lifted or _lifting(model)
     rep.doc["results"] = json.loads(lifted.to_json())
 
     # residuals act only in the new variables and are not all zero
@@ -296,13 +303,13 @@ def cmd_gamma(model: ModelSpec, args, rep: Report):
     return header, csv_rows
 
 
-def cmd_verify(model: ModelSpec, args, rep: Report):
+def cmd_verify(model: ModelSpec, args, rep: Report, lifted=None):
     unknown = [name for name, _ in model.tols if name not in VERIFY_TOLS]
     if unknown:
         raise ValueError(
             f"{args.model}: unknown tolerance {', '.join(map(repr, unknown))}"
             f" in a tol statement; known: {', '.join(VERIFY_TOLS)}")
-    lifted, kernel, op_lifted, ev = _evaluator(model)
+    lifted, kernel, op_lifted, ev = _evaluator(model, lifted)
     tols = dict(VERIFY_TOLS)
     tols.update(model.tols)
     if args.tol is not None:
@@ -420,16 +427,18 @@ def cmd_heat(model: ModelSpec, args, rep: Report):
 
 
 def cmd_report(model: ModelSpec, args, rep: Report):
-    cmd_analyze(model, args, rep)
+    algebra = _algebra(model)
+    cmd_analyze(model, args, rep, algebra)
     analyze_results = rep.doc["results"]
-    cmd_lift(model, args, rep)
+    lifted = _lifting(model, algebra)
+    cmd_lift(model, args, rep, lifted)
     lift_results = rep.doc["results"]
     cmd_heat(model, args, rep)
     heat_results = rep.doc["results"]
     results = {"analyze": analyze_results, "lift": lift_results,
                "heat": heat_results}
     if model.kernel is not None and model.operator.nu < sum(model.sigma):
-        cmd_verify(model, args, rep)
+        cmd_verify(model, args, rep, lifted)
         results["verify"] = rep.doc["results"]
     else:
         results["verify"] = {

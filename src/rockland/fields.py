@@ -16,8 +16,7 @@ Higher-order operators are kept in two forms:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,7 +25,6 @@ from .poly import (
     depends_on,
     embed,
     graded_components,
-    is_graded_homogeneous,
     poly_diff,
     poly_eval,
     to_string,
@@ -57,9 +55,6 @@ class DilationFamily:
     def q(self) -> int:
         """Homogeneous dimension: the sum of the exponents."""
         return sum(self.sigma)
-
-    def is_sorted(self) -> bool:
-        return all(a <= b for a, b in zip(self.sigma, self.sigma[1:]))
 
     def apply(self, point: Sequence, lam) -> list:
         if len(point) != self.nvars:
@@ -540,22 +535,3 @@ def heat_extend(L: OperatorSpec, delta: DilationFamily,
     H = OperatorSpec(tuple(new_fields), terms, L.nu)
     sigma_prime = DilationFamily(tuple(delta.sigma) + (L.nu,))
     return H, sigma_prime
-
-
-def normalize_system(fields: Sequence[PolyVectorField],
-                     delta: DilationFamily) -> Tuple[Tuple[PolyVectorField, ...], Tuple[int, ...]]:
-    """Certify every field and sort by non-decreasing degree (stable).
-
-    Returns the re-indexed fields with degrees attached, and the degree vector.
-    """
-    if not delta.is_sorted():
-        raise ValueError("dilation exponents must be non-decreasing for field systems")
-    certified = []
-    for j, X in enumerate(fields):
-        nu, problems = certify_homogeneity_report(X, delta)
-        if nu is None:
-            detail = "; ".join(problems)
-            raise ValueError(f"field X{j + 1} is not dilation-homogeneous: {detail}")
-        certified.append(PolyVectorField(X.nvars, X.coeffs, nu))
-    certified.sort(key=lambda X: X.declared_degree)
-    return tuple(certified), tuple(X.declared_degree for X in certified)

@@ -23,7 +23,6 @@ from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
 from .fields import (
-    DilationFamily,
     OperatorSpec,
     certify_homogeneity,
     field_apply,
@@ -38,7 +37,7 @@ from .lifting import (
     hom_norm_eval,
     invert_graded_map,
 )
-from .poly import CompiledPolys, Poly, poly_eval, substitute
+from .poly import CompiledPolys, Poly, poly_eval
 
 
 class ExistenceError(ValueError):

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
@@ -173,10 +172,6 @@ class KernelSpec:
 
 def group_gauge(lifted: LiftedSystem) -> HomNorm:
     return HomNorm(lifted.D_exponents)
-
-
-def fiber_gauge(lifted: LiftedSystem) -> HomNorm:
-    return HomNorm(lifted.tau)
 
 
 def heisenberg_gauge_kernel(lifted: LiftedSystem,

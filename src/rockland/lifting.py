@@ -43,7 +43,8 @@ from .fields import (
     operator_transpose,
 )
 from .liealg import LieBasis, StructureConstants, hormander_rank, nilpotency_step
-from .poly import Poly, embed, poly_diff, poly_eval, substitute, to_string
+from .poly import (Poly, embed, poly_diff, poly_eval, substitute,
+                   substitute_many, to_string)
 
 MAX_BCH_STEP = 6
 
@@ -158,7 +159,7 @@ def exp_flow(field: PolyVectorField, start: Sequence, time) -> list:
 # -- polynomial map utilities -------------------------------------------------
 
 def compose_map(outer: Sequence[Poly], images: Sequence[Poly]) -> List[Poly]:
-    return [substitute(p, list(images)) for p in outer]
+    return substitute_many(outer, images)
 
 
 def poly_det(mat: List[List[Poly]]) -> Poly:
@@ -701,7 +702,7 @@ def saturable_check(L: OperatorSpec, lifted: LiftedSystem) -> S1Report:
     Lt = L.with_fields(lifted.lifted_fields)
     Lt_star = operator_transpose(Lt).expand()
     L_star_base = operator_transpose(L).expand()
-    L_star = ScalarOperator(N, {g + (0,) * p: _embed_poly(a, N)
+    L_star = ScalarOperator(N, {g + (0,) * p: embed(a, N)
                                 for g, a in L_star_base.terms.items()})
     R_star = Lt_star.sub(L_star)
 
@@ -725,10 +726,6 @@ def saturable_check(L: OperatorSpec, lifted: LiftedSystem) -> S1Report:
         bounds = bounds and ok
         rows.append(S1Row(alpha, beta, to_string(coeff), xi_max, bound, ok))
     return S1Report(tuple(rows), all_xi, bounds)
-
-
-def _embed_poly(a: Poly, new_nvars: int) -> Poly:
-    return embed(a, new_nvars)
 
 
 # -- homogeneous norms -----------------------------------------------------------

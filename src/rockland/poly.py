@@ -19,14 +19,33 @@ Serialization uses graded-lexicographic term order with rationals printed as
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple, Union
+from operator import add
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
+
+def _accumulate(out: Dict[Exponent, Fraction],
+                terms: Iterable[Tuple[Exponent, Fraction]]) -> None:
+    """Add distinct monomials' terms into out in place.
+
+    A coefficient that cancels is deleted at once, so out keeps the order in
+    which a running sum of whole polynomials would hold its monomials (a
+    monomial that cancels and comes back moves to the end); float
+    evaluation sums in that order.
+    """
+    for mono, coeff in terms:
+        if mono in out:
+            c = out[mono] + coeff
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+        else:
+            out[mono] = coeff
 
 
 class Poly:
@@ -47,9 +66,19 @@ class Poly:
             c = Fraction(coeff)
             if c != 0:
                 clean[mono] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_nvars(self, nvars)
+        _set_terms(self, clean)
+        _set_hash(self, None)
+
+    @classmethod
+    def _of(cls, nvars: int, clean: Dict[Exponent, Fraction]) -> "Poly":
+        """Wrap clean without copying or checking it: every key must be a
+        monomial of length nvars and every value a nonzero Fraction."""
+        self = object.__new__(cls)
+        _set_nvars(self, nvars)
+        _set_terms(self, clean)
+        _set_hash(self, None)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
@@ -71,7 +100,7 @@ class Poly:
             raise ValueError(f"variable index {idx} out of range for nvars={nvars}")
         exp = [0] * nvars
         exp[idx] = 1
-        return Poly(nvars, {tuple(exp): Fraction(1)})
+        return Poly._of(nvars, {tuple(exp): Fraction(1)})
 
     @staticmethod
     def variables(nvars: int) -> Tuple["Poly", ...]:
@@ -95,14 +124,13 @@ class Poly:
             other = Poly.const(self.nvars, other)
         self._check_same_space(other)
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, _ZERO) + coeff
-        return Poly(self.nvars, out)
+        _accumulate(out, other.terms.items())
+        return Poly._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Poly._of(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Union["Poly", Scalar]) -> "Poly":
         if not isinstance(other, Poly):
@@ -115,28 +143,37 @@ class Poly:
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if not isinstance(other, Poly):
             c = Fraction(other)
-            return Poly(self.nvars, {m: c * v for m, v in self.terms.items()})
+            if not c:
+                return Poly._of(self.nvars, {})
+            return Poly._of(self.nvars,
+                            {m: c * v for m, v in self.terms.items()})
         self._check_same_space(other)
         out: Dict[Exponent, Fraction] = {}
+        right = other.terms.items()
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                out[mono] = out.get(mono, _ZERO) + ca * cb
-        return Poly(self.nvars, out)
+            for mb, cb in right:
+                mono = tuple(map(add, ma, mb))
+                if mono in out:
+                    out[mono] += ca * cb
+                else:
+                    out[mono] = ca * cb
+        # a coefficient may pass through zero and come back, so zeros are
+        # dropped only now, keeping each monomial where it first appeared
+        return Poly._of(self.nvars, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(self.nvars, 1)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return Poly.const(self.nvars, 1) if result is None else result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -162,6 +199,11 @@ class Poly:
         return f"Poly({self.nvars}, {to_string(self)!r})"
 
 
+_set_nvars = Poly.nvars.__set__
+_set_terms = Poly.terms.__set__
+_set_hash = Poly._hash.__set__
+
+
 def poly_mul(a: Poly, b: Poly) -> Poly:
     """Exact product a*b."""
     return a * b
@@ -171,16 +213,13 @@ def poly_diff(a: Poly, i: int) -> Poly:
     """Exact partial derivative with respect to x_i (0-based index)."""
     if not 0 <= i < a.nvars:
         raise ValueError(f"variable index {i} out of range for nvars={a.nvars}")
+    # lowering x_i in the monomials that hold it is one-to-one
     out: Dict[Exponent, Fraction] = {}
     for mono, coeff in a.terms.items():
         e = mono[i]
-        if e == 0:
-            continue
-        new = list(mono)
-        new[i] = e - 1
-        key = tuple(new)
-        out[key] = out.get(key, _ZERO) + coeff * e
-    return Poly(a.nvars, out)
+        if e:
+            out[mono[:i] + (e - 1,) + mono[i + 1:]] = coeff * e
+    return Poly._of(a.nvars, out)
 
 
 def poly_eval(a: Poly, point: Sequence) -> object:
@@ -270,7 +309,7 @@ def graded_components(a: Poly, sigma: Sequence[int]) -> Dict[int, Poly]:
     for mono, coeff in a.terms.items():
         d = graded_degree_of_monomial(mono, sigma)
         buckets.setdefault(d, {})[mono] = coeff
-    return {d: Poly(a.nvars, t) for d, t in sorted(buckets.items())}
+    return {d: Poly._of(a.nvars, t) for d, t in sorted(buckets.items())}
 
 
 def is_graded_homogeneous(a: Poly, sigma: Sequence[int], d: int) -> bool:
@@ -291,31 +330,45 @@ def substitute(a: Poly, images: Sequence[Poly]) -> Poly:
 
     All images must live in one common ambient space; the result lives there.
     """
-    if len(images) != a.nvars:
-        raise ValueError(f"need {a.nvars} images, got {len(images)}")
-    if a.nvars == 0:
+    return substitute_many([a], images)[0]
+
+
+def substitute_many(polys: Sequence[Poly],
+                    images: Sequence[Poly]) -> List[Poly]:
+    """substitute(p, images) for each p of polys; the powers of the images
+    are computed once for all of them."""
+    for a in polys:
+        if len(images) != a.nvars:
+            raise ValueError(f"need {a.nvars} images, got {len(images)}")
+    if not images:
         raise ValueError("cannot substitute into a polynomial with no variables")
     nv = images[0].nvars
     for g in images:
         if g.nvars != nv:
             raise ValueError("substitution images live in different spaces")
-    # cache powers of each image as they are needed
     powers: Dict[Tuple[int, int], Poly] = {}
-
-    def power(i: int, k: int) -> Poly:
-        key = (i, k)
-        if key not in powers:
-            powers[key] = images[i] ** k
-        return powers[key]
-
-    result = Poly.zero(nv)
-    for mono, coeff in a.terms.items():
-        term = Poly.const(nv, coeff)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * power(i, e)
-        result = result + term
-    return result
+    one = (0,) * nv
+    out = []
+    for a in polys:
+        acc: Dict[Exponent, Fraction] = {}
+        for mono, coeff in a.terms.items():
+            # the product of the images' powers; a zero factor drops the term
+            term = None
+            for i, e in enumerate(mono):
+                if e:
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        pw = powers[(i, e)] = images[i] ** e
+                    term = pw if term is None else term * pw
+                    if not term.terms:
+                        break
+            if term is None:
+                _accumulate(acc, ((one, coeff),))
+            elif term.terms:
+                _accumulate(acc, ((m, coeff * c)
+                                  for m, c in term.terms.items()))
+        out.append(Poly._of(nv, acc))
+    return out
 
 
 def embed(a: Poly, new_nvars: int, var_map: Sequence[int] | None = None) -> Poly:
@@ -334,8 +387,8 @@ def embed(a: Poly, new_nvars: int, var_map: Sequence[int] | None = None) -> Poly
         for i, e in enumerate(mono):
             new[var_map[i]] += e
         key = tuple(new)
-        out[key] = out.get(key, _ZERO) + coeff
-    return Poly(new_nvars, out)
+        out[key] = out[key] + coeff if key in out else coeff
+    return Poly._of(new_nvars, {m: c for m, c in out.items() if c})
 
 
 def depends_on(a: Poly, i: int) -> bool:
@@ -386,6 +439,3 @@ def to_string(a: Poly, var_names: Sequence[str] | None = None) -> str:
         text += f" {sign} {body}"
     return text
 
-
-def map_coeffs(a: Poly, fn: Callable[[Fraction], Scalar]) -> Poly:
-    return Poly(a.nvars, {m: Fraction(fn(c)) for m, c in a.terms.items()})

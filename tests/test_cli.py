@@ -170,6 +170,21 @@ def test_report_grushin_full_pipeline(tmp_path):
     assert set(doc["results"]) == {"analyze", "lift", "heat", "verify"}
 
 
+GOLDEN_RESULTS = os.path.join(os.path.dirname(__file__), "data",
+                              "report_results.json")
+
+
+@pytest.mark.parametrize("name", ["chain_r5", "three_var_step5"])
+def test_report_results_match_golden(tmp_path, name):
+    """The exact group law, theta, its inverse, the lifted fields and the
+    shear stay the strings committed in tests/data/report_results.json."""
+    out = tmp_path / "rep.json"
+    assert run(["report", "--model", model(name), "--json", str(out)]) == 0
+    with open(GOLDEN_RESULTS, encoding="utf-8") as fh:
+        golden = json.load(fh)[name]
+    assert json.loads(out.read_text())["results"] == golden
+
+
 def test_report_skips_verify_when_gate_fails(tmp_path):
     out = tmp_path / "rep.json"
     assert run(["report", "--model", model("quartic_k2"),

@@ -17,6 +17,7 @@ from rockland.poly import (
     substitute,
     to_string,
 )
+from rockland.lifting import compose_map
 
 
 def x(i, n=2):
@@ -122,15 +123,105 @@ def test_homogeneous_scaling_exact():
         assert poly_eval(a, scaled) == lam ** 4 * poly_eval(a, pt)
 
 
+def random_rational(rng):
+    return Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+
+
+def random_images(rng, count, nvars):
+    return [random_poly(rng, nvars, max_deg=3, terms=3) for _ in range(count)]
+
+
 def test_substitute_composes():
+    """p(images) at a rational point is p at the images' values, exactly:
+    one fixed case, then 2-4 variables on both sides with fresh images every
+    round."""
     a = x(0) ** 2 + x(1)
     g = [x(0) + x(1), x(0) * x(1)]
-    composed = substitute(a, g)
+    cases = [(a, g)]
     rng = random.Random(505)
-    for _ in range(10):
-        pt = [Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))]
-        inner = [poly_eval(gi, pt) for gi in g]
-        assert poly_eval(composed, pt) == poly_eval(a, inner)
+    for _ in range(30):
+        n, m = rng.randint(2, 4), rng.randint(2, 4)
+        cases.append((random_poly(rng, n, max_deg=4, terms=5),
+                      random_images(rng, n, m)))
+    for p, images in cases:
+        composed = substitute(p, images)
+        assert composed.nvars == images[0].nvars
+        for _ in range(3):
+            pt = [random_rational(rng) for _ in range(composed.nvars)]
+            inner = [poly_eval(gi, pt) for gi in images]
+            assert poly_eval(composed, pt) == poly_eval(p, inner)
+
+
+def test_compose_map_equals_substitute_each():
+    """One composition of a whole map shares the images' powers and still
+    equals substituting component by component, term order included."""
+    rng = random.Random(707)
+    for _ in range(20):
+        n, m = rng.randint(2, 4), rng.randint(2, 4)
+        f = [random_poly(rng, n, max_deg=4, terms=5) for _ in range(3)]
+        images = random_images(rng, n, m)
+        got = compose_map(f, images)
+        want = [substitute(fi, images) for fi in f]
+        assert got == want
+        assert [list(g.terms.items()) for g in got] == \
+            [list(w.terms.items()) for w in want]
+
+
+def running_sum_substitute(p, images):
+    """substitute by its definition: a running sum of products of powers."""
+    result = Poly.zero(images[0].nvars)
+    for mono, coeff in p.terms.items():
+        term = Poly.const(images[0].nvars, coeff)
+        for i, e in enumerate(mono):
+            if e:
+                term = term * images[i] ** e
+        result = result + term
+    return result
+
+
+def test_substitute_keeps_running_sum_term_order():
+    """Float evaluation sums terms in stored order, so substitute stores them
+    where a running sum would: a monomial that cancels and comes back moves
+    to the end."""
+    y0, y1 = x(0), x(1)
+    p = Poly.var(3, 0) + Poly.var(3, 1) + Poly.var(3, 2)
+    got = substitute(p, [y0 + y1, -y0, y0])
+    assert list(got.terms) == [(0, 1), (1, 0)]
+    rng = random.Random(808)
+    for _ in range(30):
+        n, m = rng.randint(2, 4), rng.randint(2, 3)
+        p = random_poly(rng, n, max_deg=3, terms=6)
+        images = [random_poly(rng, m, max_deg=2, terms=2) for _ in range(n)]
+        want = running_sum_substitute(p, images)
+        assert list(substitute(p, images).terms.items()) == \
+            list(want.terms.items())
+
+
+def assert_clean(p):
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+def test_cancellation_stores_no_zero():
+    """Sums, differences, products and substitutions that cancel store no
+    zero coefficient, and every stored coefficient is a Fraction."""
+    a, b = x(0), x(1)
+    assert (a + b) - (a + b) == Poly.zero(2)
+    assert ((a + b) * (a - b) + b ** 2 - a ** 2).terms == {}
+    partial = (a + b) * (a - b) + b ** 2
+    assert partial.terms == {(2, 0): Fraction(1)}
+    assert_clean(partial)
+    assert substitute(Poly.var(2, 0) - Poly.var(2, 1), [a * b, b * a]).terms == {}
+    assert (a * 0).terms == {} and (0 * a).terms == {}
+    rng = random.Random(909)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        p, q = random_poly(rng, n), random_poly(rng, n)
+        for r in (p - p, p + q - q, p * q - q * p, (p + q) * (p - q)
+                  - p * p + q * q, p * 2, p * Fraction(1, 3), -p, p ** 3,
+                  substitute(p, [Poly.var(n, i) for i in range(n)]) - p):
+            assert_clean(r)
+        assert (p - p).terms == {}
+        assert (p + q - q) == p
 
 
 def test_serialization_deterministic():
