@@ -2,7 +2,8 @@
 
 The closed-form kernel on the lifted (Heisenberg) group is calibrated
 against the defining integral identity, then integrated over the extra
-variable to produce Gamma(x, y) downstairs, with certified tail bounds.
+variable to produce Gamma(x, y) downstairs, with closed-form tail bounds
+from a sampled supremum of the kernel.
 """
 
 from rockland import (
@@ -43,7 +44,7 @@ for x, y in [([1.0, 0.0], [0.0, 0.0]),
              ([2.0, 0.0], [0.0, 0.0])]:
     rec = ev.gamma_record(x, y)
     print(f"Gamma({x}, {y}) = {rec.value:.10f}"
-          f"  (tail bound {rec.error_bound:.1e}, radius {rec.radius:.1f})")
+          f"  (error bound {rec.error_bound:.1e}, radius {rec.radius:.1f})")
 
 print("\n== homogeneity: Gamma(d_2 x, d_2 y) should be Gamma(x, y) / 2")
 a = ev.gamma_eval([1.0, 0.0], [0.0, 0.0])

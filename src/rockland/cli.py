@@ -154,9 +154,9 @@ def _algebra(model: ModelSpec):
     return generate_lie_algebra(list(model.fields), model.delta)
 
 
-def _lifting(model: ModelSpec, algebra=None):
+def _lifting(model: ModelSpec, algebra=None, step=None):
     basis, sc = algebra or _algebra(model)
-    return build_lifting(basis, sc, model.delta)
+    return build_lifting(basis, sc, model.delta, step)
 
 
 def _evaluator(model: ModelSpec, lifted=None):
@@ -430,7 +430,7 @@ def cmd_report(model: ModelSpec, args, rep: Report):
     algebra = _algebra(model)
     cmd_analyze(model, args, rep, algebra)
     analyze_results = rep.doc["results"]
-    lifted = _lifting(model, algebra)
+    lifted = _lifting(model, algebra, analyze_results["step"])
     cmd_lift(model, args, rep, lifted)
     lift_results = rep.doc["results"]
     cmd_heat(model, args, rep)

@@ -149,6 +149,35 @@ def field_apply(X: PolyVectorField, u: Poly) -> Poly:
     return out
 
 
+def chain_jet(fields: Sequence[PolyVectorField],
+              terms: Sequence[Tuple[Fraction, MultiIndex]],
+              inner: Poly) -> Dict[int, Poly]:
+    """Exact P_k with Sum_c,I c X_I f(inner) = Sum_k f^(k)(inner) * P_k.
+
+    Holds for every smooth f, by X(f^(k)(s) P) = f^(k+1)(s) X(s) P
+    + f^(k)(s) X(P) applied through each word, the first index acting last.
+    Only the nonzero P_k are kept.
+    """
+    n = inner.nvars
+    zero = Poly.zero(n)
+    grads: Dict[int, Poly] = {}
+    out: Dict[int, Poly] = {}
+    for coeff, word in terms:
+        jet = {0: Poly.const(n, coeff)}
+        for i in reversed(word):
+            X = fields[i]
+            if i not in grads:
+                grads[i] = field_apply(X, inner)
+            nxt: Dict[int, Poly] = {}
+            for k, pk in jet.items():
+                nxt[k + 1] = nxt.get(k + 1, zero) + grads[i] * pk
+                nxt[k] = nxt.get(k, zero) + field_apply(X, pk)
+            jet = nxt
+        for k, pk in jet.items():
+            out[k] = out.get(k, zero) + pk
+    return {k: pk for k, pk in out.items() if pk}
+
+
 def commutator(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
     """[X, Y] = XY - YX as a first-order field."""
     if X.nvars != Y.nvars:

@@ -280,11 +280,16 @@ class GroupLaw:
         return [poly_eval(p, list(a)) for p in self.inverse]
 
 
-def build_group(basis: LieBasis, sc: StructureConstants) -> GroupLaw:
-    """BCH group law, left-invariant fields and verified dilations."""
+def build_group(basis: LieBasis, sc: StructureConstants,
+                step: Optional[int] = None) -> GroupLaw:
+    """BCH group law, left-invariant fields and verified dilations.
+
+    ``step`` is the algebra's nilpotency step when the caller has it.
+    """
     N = sc.N
     degrees = basis.degrees
-    step = nilpotency_step(sc, degrees)
+    if step is None:
+        step = nilpotency_step(sc, degrees)
     two = Poly.variables(2 * N)
     a_vars, b_vars = list(two[:N]), list(two[N:])
     mult = tuple(bch_product(sc, step, a_vars, b_vars))
@@ -460,8 +465,10 @@ def _shear_candidates(delta: DilationFamily, tau_j: int) -> List[Poly]:
 
 
 def build_lifting(basis: LieBasis, sc: StructureConstants,
-                  delta: DilationFamily) -> LiftedSystem:
-    """Construct and verify the lifted homogeneous system."""
+                  delta: DilationFamily,
+                  step: Optional[int] = None) -> LiftedSystem:
+    """Construct and verify the lifted homogeneous system; ``step`` as for
+    build_group."""
     n, N = basis.nvars, basis.N
     p = N - n
     if p < 1:
@@ -471,7 +478,7 @@ def build_lifting(basis: LieBasis, sc: StructureConstants,
     if hormander_rank(basis, origin) != n:
         raise ValueError("bracket-generating condition fails at the origin")
 
-    group = build_group(basis, sc)
+    group = build_group(basis, sc, step)
     F = evaluation_map(basis, delta)
     gen_slots = list(basis.generator_indices)
 

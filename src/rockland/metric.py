@@ -117,16 +117,13 @@ def endpoint(x: Sequence, path: ControlPath,
     return cur if exact else [float(v) for v in cur]
 
 
-def _poly_abs_bound(p: Poly, bounds: Sequence[float]) -> float:
-    """sup |p| over the box |x_i| <= bounds[i], by the triangle inequality."""
-    total = 0.0
-    for mono, c in p.terms.items():
-        term = abs(float(c))
-        for b, e in zip(bounds, mono):
-            if e:
-                term *= b ** e
-        total += term
-    return total
+def _series_mul(a: List[float], b: List[float]) -> List[float]:
+    """Product of two polynomials in t given by coefficient lists."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
 
 
 class MetricSpace:
@@ -145,6 +142,16 @@ class MetricSpace:
             or X.declared_degree for X in fields)
         if any(d is None for d in self.degrees):
             raise ValueError("every field must certify a homogeneity degree")
+        # box_bounds' terms: per coordinate in increasing weight order, per
+        # field, the coefficient's monomials as (|c|, coordinates repeated
+        # by their exponents)
+        self._box_terms = [
+            (i, [(j, [(abs(float(c)), [k for k, e in enumerate(mono)
+                                       for _ in range(e)])
+                      for mono, c in X.coeffs[i].terms.items()])
+                 for j, X in enumerate(self.fields)
+                 if not X.coeffs[i].is_zero()])
+            for i in sorted(range(self.n), key=lambda k: delta.sigma[k])]
         self._compile_flow()
 
     # -- compiled time-1 flow in (x, controls) --------------------------------
@@ -342,22 +349,33 @@ class MetricSpace:
     def box_bounds(self, x: Sequence[float], r: float) -> List[float]:
         """Coordinate excursion bounds for any path of scale <= r from x.
 
-        Processed in increasing dilation-weight order: the i-th velocity is
-        sum_j a_j * (coeff of X_j), the coefficient depends only on already
-        bounded lower-weight coordinates, and |a_j| <= r^{nu_j}.
+        Along such a path, |x_i(t) - x_i| <= B_i(t) with
+        B_i(t) = int_0^t Sum_j r^nu_j |c_ij|(|x| + B(s)) ds, where c_ij is
+        the coefficient of X_j in coordinate i and |c|(v) bounds |c| on the
+        box |x_k| <= v_k by the triangle inequality.  c_ij has weight
+        sigma_i - nu_j < sigma_i, so it involves only lower-weight
+        coordinates: in increasing weight order each B_i is a polynomial in
+        t with nonnegative coefficients, and the bound is B_i(1).
         """
-        n = self.n
-        sigma = self.delta.sigma
-        B = [0.0] * n
-        for i in sorted(range(n), key=lambda k: sigma[k]):
-            total = 0.0
-            for j, X in enumerate(self.fields):
-                c = X.coeffs[i]
-                if c.is_zero():
-                    continue
-                env = [abs(float(x[k])) + B[k] for k in range(n)]
-                total += r ** self.degrees[j] * _poly_abs_bound(c, env)
-            B[i] = total * 1.000001  # float-rounding headroom
+        env: List[List[float]] = [[]] * self.n   # |x_k| + B_k(t) in powers of t
+        B = [0.0] * self.n
+        for i, fields in self._box_terms:
+            acc = [0.0]
+            for j, terms in fields:
+                weight = r ** self.degrees[j]
+                for coeff, factors in terms:
+                    term = [weight * coeff]
+                    for k in factors:
+                        term = _series_mul(term, env[k])
+                    if len(term) > len(acc):
+                        acc, term = term, acc
+                    for d, v in enumerate(term):
+                        acc[d] += v
+            # integrated from 0 to t, with float-rounding headroom
+            bound = [0.0] + [1.000001 * a / (d + 1) for d, a in enumerate(acc)]
+            B[i] = sum(bound)
+            bound[0] = abs(float(x[i]))
+            env[i] = bound
         return B
 
     def box_lower(self, x: Sequence[float], y: Sequence[float], r_max: float,

@@ -268,14 +268,13 @@ class CompiledPolys:
             for mono, c in p.terms.items():
                 self.coeffs[index[mono], col] = float(c)
         # each monomial as its factors x_var^exp, padded with x_0^0 to the
-        # largest number of variables in one monomial
+        # largest number of variables in one monomial; a factor is the row
+        # exp * nvars + var of the flattened table of coordinate powers
         width = max([1] + [int(np.count_nonzero(e)) for e in exponents])
-        self._factor_var = np.zeros((len(index), width), dtype=int)
-        self._factor_exp = np.zeros((len(index), width), dtype=int)
+        self._factor_rows = np.zeros((len(index), width), dtype=int)
         for k, e in enumerate(exponents):
             used = np.flatnonzero(e)
-            self._factor_var[k, :len(used)] = used
-            self._factor_exp[k, :len(used)] = e[used]
+            self._factor_rows[k, :len(used)] = e[used] * nvars + used
         self._degree = int(exponents.max(initial=0))
 
     def __call__(self, x) -> np.ndarray:
@@ -284,17 +283,25 @@ class CompiledPolys:
         if x.ndim != 2 or len(x) != self.nvars:
             raise ValueError(f"points must be an array ({self.nvars}, M), "
                              f"got shape {x.shape}")
-        out = np.empty((self.coeffs.shape[1], x.shape[1]))
-        # blocks of points bound the (K, width, block) table of factors
-        for lo in range(0, x.shape[1], _EVAL_BLOCK):
-            block = x[:, lo:lo + _EVAL_BLOCK]
-            powers = np.empty((self._degree + 1,) + block.shape)
-            powers[0] = 1.0
-            for k in range(1, self._degree + 1):
-                powers[k] = powers[k - 1] * block
-            mono = powers[self._factor_exp, self._factor_var].prod(axis=1)
-            np.matmul(self.coeffs.T, mono, out=out[:, lo:lo + _EVAL_BLOCK])
-        return out
+        if x.shape[1] <= _EVAL_BLOCK:
+            return self._block(x)
+        # blocks of points bound the (K, block) tables of factors
+        return np.concatenate([self._block(x[:, lo:lo + _EVAL_BLOCK])
+                               for lo in range(0, x.shape[1], _EVAL_BLOCK)],
+                              axis=1)
+
+    def _block(self, x: np.ndarray) -> np.ndarray:
+        powers = np.empty((self._degree + 1,) + x.shape)
+        powers[0] = 1.0
+        for k in range(1, self._degree + 1):
+            np.multiply(powers[k - 1], x, out=powers[k])
+        powers = powers.reshape(-1, x.shape[1])
+        # each monomial's factors multiplied left to right
+        rows = self._factor_rows
+        mono = powers[rows[:, 0]]
+        for w in range(1, rows.shape[1]):
+            mono *= powers[rows[:, w]]
+        return self.coeffs.T @ mono
 
 
 def graded_degree_of_monomial(mono: Exponent, sigma: Sequence[int]) -> int:

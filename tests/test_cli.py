@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import rockland
 from rockland.cli import main
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
@@ -226,3 +229,16 @@ def test_json_report_key_order(tmp_path):
                          "checks", "results", "artifacts"]
     assert doc["flags"]["defaults"] == {
         "tol": 1e-3, "seed": 0, "samples": 200, "radius": 1.0}
+
+
+def test_cli_import_leaves_sympy_out():
+    """sympy is a test-only dependency: the package never imports it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rockland.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                 if p]))
+    code = "import sys, rockland.cli; print(sorted(m for m in sys.modules " \
+        "if m.split('.')[0] in ('sympy', 'mpmath')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

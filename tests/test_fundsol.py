@@ -1,7 +1,11 @@
 """Kernel calibration, the saturation integral and its identity checks."""
 
+import json
 import math
+import os
 import random
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,12 +22,13 @@ from rockland.fundsol import (
     calibration_residuals,
     jet_values,
     kernel_calibrate,
-    smoothstep_expr,
     tensor_gl_grid,
 )
-from rockland.kernels import (KernelSpec, apply_operator_sympy, group_gauge,
-                              heisenberg_gauge_kernel)
+from rockland.kernels import KernelSpec, group_gauge, heisenberg_gauge_kernel
 from rockland.lifting import hom_norm_eval
+from rockland.poly import Poly
+from sympy_reference import (apply_operator_sympy, apply_word_sympy,
+                             poly_to_sympy, smoothstep_expr)
 
 
 def random_pairs(rng, count, lo=-2.0, hi=2.0, min_sep=0.1):
@@ -64,6 +69,31 @@ def test_kernel_decay_bound(grushin_gamma):
 
 def test_kernel_annihilated_symbolically(grushin, grushin_gamma):
     assert grushin_gamma["kernel"].annihilation_residual(grushin["L"]) == 0
+
+
+@pytest.mark.parametrize("word", [(), (0,), (0, 1), (1, 1, 0)])
+@pytest.mark.parametrize("star", [False, True])
+def test_kernel_jet_matches_sympy(grushin_gamma, word, star):
+    """The exact jet of a word derivative agrees with sympy's derivative of
+    the closed-form kernel c * P^a, on the plain and the star route."""
+    import sympy as sp
+    K = grushin_gamma["kernel"]
+    lifted = K.lifted
+    syms = sp.symbols(f"z1:{lifted.N + 1}", real=True)
+    base = poly_to_sympy(K.base, syms)
+    if star:
+        base = base.subs({s: poly_to_sympy(p, syms)
+                          for s, p in zip(syms, lifted.inverse)},
+                         simultaneous=True)
+    expr = apply_word_sympy(lifted.lifted_fields, word, syms,
+                            base ** sp.Rational(K.power.numerator,
+                                                K.power.denominator))
+    ref = sp.lambdify(syms, K.calibration_constant * expr, modules="numpy")
+    pts = K._gauge_sphere_samples(50, 99) * np.array([[0.5], [2.0]] * 25) \
+        ** np.array(lifted.D_exponents)
+    got = K.word_evaluator(word, star)(*pts.T)
+    want = ref(*pts.T)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
 
 
 def test_kernel_requires_heisenberg_lift(three_var_step5):
@@ -109,10 +139,9 @@ def test_calibration_linearity(grushin_gamma):
 
 def test_calibration_rejects_wrong_shape(grushin, grushin_gamma):
     """A non-annihilating shape cannot satisfy the identity consistently."""
-    import sympy as sp
     K = grushin_gamma["kernel"]
-    bad = type(K)(K.lifted, K.nu, (sum(s ** 2 for s in K.syms)) ** sp.Rational(-1, 2),
-                  K.syms, 1.0, "bad")
+    bad = type(K)(K.lifted, K.nu, sum(s ** 2 for s in Poly.variables(3)),
+                  Fraction(-1, 2), 1.0, "bad")
     calibrated = kernel_calibrate(bad, K.lifted, grushin_gamma["Lt"])
     res = calibration_residuals(calibrated, grushin_gamma["Lt"])
     assert max(res) > 1e-3  # identity fails away from the reference pole
@@ -129,17 +158,15 @@ def test_existence_gate_nu_ge_q(grushin, grushin_quartic, grushin_gamma):
 
 def test_kernel_degree_mismatch_rejected(grushin, grushin_gamma):
     K = grushin_gamma["kernel"]
-    bad = type(K)(K.lifted, 1, K.shape, K.syms, 1.0)
+    bad = type(K)(K.lifted, 1, K.base, K.power, 1.0)
     with pytest.raises(ValueError, match="nu - Q"):
         SaturationEvaluator(grushin["lifted"], grushin["L"], bad)
 
 
 def test_multi_fiber_lifting_rejected(three_var_step5):
-    import sympy as sp
     lifted = three_var_step5["lifted"]
     assert lifted.p > 1
-    kernel = KernelSpec(lifted, 2, sp.Integer(1),
-                        sp.symbols(f"z1:{lifted.N + 1}"))
+    kernel = KernelSpec(lifted, 2, Poly.const(lifted.N, 1), Fraction(1))
     with pytest.raises(ValueError, match="one lifted variable"):
         SaturationEvaluator(lifted, three_var_step5["L"], kernel)
 
@@ -152,6 +179,8 @@ def test_pole_rejected(grushin_gamma):
 def test_config_validation():
     with pytest.raises(ValueError, match="positive"):
         QuadratureConfig(rel_tol=0.0)
+    with pytest.raises(ValueError, match="8 times"):
+        QuadratureConfig(min_radius_factor=32.0)
 
 
 # -- gamma values ------------------------------------------------------------------
@@ -279,7 +308,8 @@ def test_left_inverse_rescaled_bump(grushin_gamma):
 
 
 def test_gamma_batch_matches_pointwise(grushin_gamma):
-    """One quad_vec pass agrees with per-point quad, near the pole and far."""
+    """One batched run of the panel rule agrees with the pointwise route,
+    near the pole and far."""
     ev = grushin_gamma["ev"]
     rng = random.Random(4242)
     y = [0.3, -0.2]
@@ -290,6 +320,35 @@ def test_gamma_batch_matches_pointwise(grushin_gamma):
     ref = np.array([ev.gamma_record(x, y).value for x in xs])
     assert np.max(np.abs(batch.value - ref) / np.abs(ref)) <= 1e-10
     assert np.all(batch.tail_bound <= batch.error_bound)
+
+
+def test_gamma_values_match_golden(grushin_gamma):
+    """Gamma, Gamma* and the x- and y-derivative words up to order 3 on
+    test_gamma_batch_matches_pointwise's points, against the values of the
+    scipy-quad evaluator over sympy expressions that this one replaced.
+
+    A value agrees to 1e-10 relative or lies within the sum of both error
+    bounds, except where quad warned that it had not converged.  The rows
+    at the four fixed offsets, near the pole and far, also hold a
+    high-precision reference (tests/gamma_reference.py), and the new value
+    lies within its own error bound of that.
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", "gamma_values.json")
+    with open(path) as fh:
+        data = json.load(fh)
+    ev = grushin_gamma["ev"]
+    y = data["y"]
+    for row in data["values"]:
+        word, x = tuple(row["word"]), row["x"]
+        with warnings.catch_warnings():     # near the pole, some do not converge
+            warnings.simplefilter("ignore", IntegrationWarning)
+            rec = ev._integral("plain", word, x, y) \
+                if row["route"] == "plain" else ev._integral("star", word, y, x)
+        miss = abs(rec.value - row["value"])
+        assert row.get("warned") or miss <= 1e-10 * abs(row["value"]) \
+            or miss <= rec.error_bound + row["error_bound"], row
+        if "reference" in row:
+            assert abs(rec.value - row["reference"]) <= rec.error_bound, row
 
 
 @pytest.mark.parametrize("bump, y", [
@@ -311,7 +370,7 @@ def test_gamma_batch_warns_without_convergence(grushin, grushin_gamma):
     ev = SaturationEvaluator(grushin["lifted"], grushin["L"],
                              grushin_gamma["kernel"],
                              QuadratureConfig(max_subdivisions=10))
-    with pytest.warns(IntegrationWarning, match="quad_vec"):
+    with pytest.warns(IntegrationWarning, match="panel rule"):
         ev.gamma_batch([[1.0, 0.0], [1e-3, 0.0]], [0.0, 0.0], rel_tol=1e-14)
 
 
@@ -390,6 +449,106 @@ def test_bump_values():
     assert 0.0 < b([1.5, 0.0]) < 1.0
     with pytest.raises(ValueError):
         BumpSpec((0.0,), flat_radius=2.0, support_radius=1.0)
+
+
+def test_kronrod_rule_exactness():
+    """The 21-point Kronrod rule integrates x^k exactly up to k = 31 and its
+    embedded 10-point Gauss rule up to k = 19."""
+    from rockland.fundsol import _NODES, _RULE_WEIGHTS
+    for k in range(34):
+        exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+        kronrod, gauss = (_NODES ** k) @ _RULE_WEIGHTS
+        assert (abs(kronrod - exact) <= 1e-15) == (k <= 31) or k % 2
+        assert (abs(gauss - exact) <= 1e-15) == (k <= 19) or k % 2
+
+
+def test_panel_integral_per_owner():
+    """Peaks of widths 10 to 1e-5, one owner each: every owner meets its own
+    tolerance, and only the narrow peaks are bisected."""
+    from rockland.fundsol import panel_integral
+    widths = np.array([10.0, 1e-2, 1e-5])
+    lo = np.repeat([[-1.0, 0.0]], 3, axis=0).ravel()
+    hi = np.repeat([[0.0, 2.0]], 3, axis=0).ravel()
+    owner = np.repeat(np.arange(3), 2)
+    rows_seen = []
+
+    def f(t, rows):
+        rows_seen.append(rows)
+        a = widths[owner[rows]][:, None]
+        return a / (a * a + (t - 0.3) ** 2), np.zeros((len(t), 10))
+
+    sums = panel_integral(f, lo, hi, owner, 1e-14, 1e-10, 200)
+    got = sums.value.reshape(3, 2).sum(axis=1)
+    exact = np.arctan(1.7 / widths) + np.arctan(1.3 / widths)
+    assert np.all(np.abs(got - exact) <= 1e-10 * exact)
+    assert np.all(sums.error.reshape(3, 2).sum(axis=1) <= 1e-10 * exact)
+    refined = np.concatenate(rows_seen[1:])
+    assert set(owner[refined]) == {1, 2}
+
+
+@pytest.mark.parametrize("route, word", [("plain", ()), ("plain", (0,)),
+                                         ("star", (1, 0, 1))])
+def test_integrand_error_bound_holds(grushin_gamma, route, word):
+    """Along fibers near the pole, where the fiber's coordinates cancel,
+    and far from it, the float integrand lies within its stated evaluation
+    error of the same integrand in 40-digit arithmetic on the same fiber
+    coefficients."""
+    import mpmath
+    from rockland.poly import poly_eval
+    ev = grushin_gamma["ev"]
+    jet = ev.kernel.word_expr(word, star=(route == "star"))
+    on_fiber = ev._on_fiber(route, word)
+    c = ev.kernel.calibration_constant
+    y = [0.3, -0.2]
+    with mpmath.workdps(40):
+        power = mpmath.mpf(jet.power.numerator) / jet.power.denominator
+        for off in ([0.0, 1e-4], [1e-3, 0.0], [0.7, -1.1], [30.0, 30.0]):
+            x = [y[0] + off[0], y[1] + off[1]]
+            a, b = (x, y) if route == "plain" else (y, x)
+            coeffs, g0 = ev._fiber(np.array(a)[:, None], np.array(b)[:, None])
+            coeffs = coeffs[..., 0]
+            # nodes across the core, and about where a coordinate vanishes
+            zeta = [g0[0] * v for v in np.linspace(-8.0, 8.0, 41)]
+            for row in coeffs:
+                if row[1]:
+                    z0 = -row[0] / row[1]
+                    zeta += [z0 * (1 + v) for v in np.linspace(-1e-2, 1e-2, 41)]
+            zeta = np.array(zeta)
+            got, err = on_fiber(coeffs[:, :, None], zeta)
+            for t, g, e in zip(zeta, got, err):
+                pt = [sum(Fraction(float(cj)) * Fraction(float(t)) ** j
+                          for j, cj in enumerate(row)) for row in coeffs]
+                p = poly_eval(jet.base, pt)
+                want = c * sum(
+                    mpmath.mpf(q.numerator) / q.denominator
+                    * (mpmath.mpf(p.numerator) / p.denominator) ** (power - k)
+                    for k, q in enumerate(poly_eval(qk, pt)
+                                          for qk in jet.coeffs))
+                assert abs(g - float(want)) <= e, (off, t)
+
+
+def test_panel_integral_counts_evaluation_error():
+    """A stated evaluation error enters the estimate; an owner whose
+    evaluation error alone passes its tolerance warns at once instead of
+    bisecting to the limit, and the other owner is unaffected."""
+    from rockland.fundsol import panel_integral
+    lo, hi = np.array([0.0, 0.0]), np.array([1.0, 1.0])
+    owner = np.arange(2)
+    noise = np.array([1e-12, 1e-6])
+    passes = []
+
+    def f(t, rows):
+        passes.append(rows)
+        return np.cos(t), np.broadcast_to(noise[rows][:, None],
+                                          (len(t), 10))
+
+    with pytest.warns(IntegrationWarning, match="evaluation error"):
+        sums = panel_integral(f, lo, hi, owner, 1e-14, 1e-8, 200)
+    assert sums.value == pytest.approx([np.sin(1.0)] * 2, rel=1e-12)
+    # the Gauss weights sum to the width: the bound counts noise * width
+    assert sums.error[1] >= 1e-6
+    assert 1e-12 <= sums.error[0] <= 1e-8 * np.sin(1.0)
+    assert len(passes) <= 2
 
 
 def test_tensor_gl_grid_exactness():

@@ -1,5 +1,6 @@
 """Control distance, ball volumes, doubling and the estimate harness."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -218,20 +219,39 @@ def test_feasible_reports_only_genuine_paths(system):
 
 # -- bounding box certificate -----------------------------------------------------
 
-def test_box_bounds_certify(grushin, grushin_metric):
-    """Random feasible paths never leave the certified box."""
+def test_box_bounds_certify(grushin, three_var_step5):
+    """Feasible paths never leave the certified box: random controls with
+    |a_j| <= r^nu_j and every constant-sign bang-bang control, on both
+    systems, at scales below and above 1."""
     rng = random.Random(44)
-    x0 = [0.5, -0.3]
+    for sysd in (grushin, three_var_step5):
+        space = MetricSpace(sysd["gens"], sysd["delta"])
+        x0 = [0.5, -0.3, 0.2][:space.n]
+        for r in (0.5, 2.0):
+            B = space.box_bounds(x0, r)
+            paths = [tuple((0.25, tuple(rng.uniform(-1, 1) * r ** nu
+                                        for nu in space.degrees))
+                           for _ in range(4))
+                     for _ in range(20)]
+            paths += [((1.0, tuple(s * r ** nu
+                                   for s, nu in zip(signs, space.degrees))),)
+                      for signs in itertools.product((-1, 1), repeat=space.m)]
+            for segs in paths:
+                reached = endpoint(x0, ControlPath(segs, r), sysd["gens"])
+                for v, c, b in zip(reached, x0, B):
+                    assert abs(float(v) - c) <= b
+
+
+def test_box_bounds_sharp_at_origin(grushin, grushin_metric):
+    """From the origin the constant controls (r, r) reach x2 = r^2 / 2, the
+    edge of the box."""
     for r in (0.5, 2.0):
-        B = grushin_metric.box_bounds(x0, r)
-        for _ in range(20):
-            S = 4
-            segs = tuple(
-                (1.0 / S, (rng.uniform(-r, r), rng.uniform(-r ** 2, r ** 2)))
-                for _ in range(S))
-            reached = endpoint(x0, ControlPath(segs, r), grushin["gens"])
-            for v, c, b in zip(reached, x0, B):
-                assert abs(float(v) - c) <= b
+        B = grushin_metric.box_bounds([0.0, 0.0], r)
+        path = ControlPath(((1.0, (r, r)),), r)
+        reached = endpoint([0.0, 0.0], path, grushin["gens"])
+        assert reached == [r, r * r / 2]
+        assert B[1] == pytest.approx(r * r / 2, rel=1e-5)
+        assert reached[1] <= B[1]
 
 
 # -- ball volumes ------------------------------------------------------------------
