@@ -498,8 +498,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_flag(args) -> Optional[str]:
+    """Why a numeric flag is out of range, or None when all are usable."""
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        return f"--tol must be positive and finite, got {args.tol}"
+    if args.samples < 1:
+        return f"--samples must be at least 1, got {args.samples}"
+    radius = getattr(args, "radius", DEFAULTS["radius"])
+    if not (math.isfinite(radius) and radius > 0):
+        return f"--radius must be positive and finite, got {radius}"
+    return None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    bad = _bad_flag(args)
+    if bad:
+        print(f"error: {bad}", file=sys.stderr)
+        return 2
     try:
         model = load_model(args.model)
     except FileNotFoundError:

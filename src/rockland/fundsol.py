@@ -23,8 +23,6 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy import integrate
-from scipy.special import gamma as gamma_fn
 
 from .fields import (
     OperatorSpec,
@@ -335,15 +333,26 @@ _CORE_SPLITS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0)
 _BATCH_SPLITS = (2.0,)
 
 
+def _legendre_in_powers(degree: int) -> np.ndarray:
+    """Column k: the Legendre polynomial P_k(s) in powers of t = s + 1, by
+    (k + 1) P_{k+1} = (2k + 1) (t - 1) P_k - k P_{k-1}."""
+    table = np.zeros((degree + 1, degree + 1))
+    table[0, 0] = 1.0
+    table[:2, 1] = -1.0, 1.0
+    for k in range(1, degree):
+        times_s = np.roll(table[:, k], 1) - table[:, k]
+        table[:, k + 1] = ((2 * k + 1) * times_s
+                           - k * table[:, k - 1]) / (k + 1)
+    return table
+
+
 def _antiderivatives(nodes: np.ndarray) -> np.ndarray:
     """Column i: coefficients, in powers of s + 1, of the integral over
     [-1, s] of the polynomial that is 1 at nodes[i] and 0 at the others."""
-    lagrange = np.linalg.inv(np.polynomial.legendre.legvander(
-        nodes, len(nodes) - 1))
-    return np.stack([np.polynomial.Legendre(
-        np.polynomial.legendre.legint(c, lbnd=-1.0)).convert(
-            kind=np.polynomial.Polynomial, window=[0.0, 2.0]).coef
-        for c in lagrange.T], axis=1)
+    n = len(nodes)
+    lagrange = np.linalg.inv(np.polynomial.legendre.legvander(nodes, n - 1))
+    return _legendre_in_powers(n) @ np.polynomial.legendre.legint(
+        lagrange, lbnd=-1.0, axis=0)
 
 
 # both rules' antiderivative tables side by side, the Gauss one padded
@@ -445,13 +454,16 @@ def panel_integral(f: Callable[[np.ndarray, np.ndarray],
         noisy = unmet & (noise_total >= tol) & (total_err - noise_total <= tol)
         quit = (spent + more > limit) | ~finite | noisy
         if (quit & ~given_up).any():
+            # scipy's class, which callers filter on; imported only here
+            # because scipy.integrate costs most of a cold start
+            from scipy.integrate import IntegrationWarning
             k = int(np.argmax(quit & ~given_up))
             warnings.warn(
                 f"panel rule: {int(np.sum(quit & ~given_up))} of {owners} "
                 f"integrals missed the tolerance within {limit} bisections, "
                 f"by their evaluation error, or are not finite (error "
                 f"estimate {total_err[k]:.3g}, tolerance {tol[k]:.3g})",
-                integrate.IntegrationWarning, stacklevel=4)
+                IntegrationWarning, stacklevel=4)
             given_up |= quit
             bad &= ~quit[own]
         good = ~bad
@@ -554,8 +566,8 @@ class SaturationEvaluator:
         self._integrands: Dict[Tuple[str, Tuple[int, ...]], Callable] = {}
         E = lifted.E
         self._v1 = (2.0 ** lifted.p
-                    * math.prod(gamma_fn(t + 1.0) for t in lifted.tau)
-                    / gamma_fn(E + 1.0))
+                    * math.prod(math.gamma(t + 1.0) for t in lifted.tau)
+                    / math.gamma(E + 1.0))
 
     # -- symbolic assembly ---------------------------------------------------
 

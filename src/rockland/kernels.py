@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Dict, Sequence, Tuple
 
@@ -99,6 +100,26 @@ class KernelJet:
         return values
 
 
+@lru_cache(maxsize=None)
+def gauge_sphere_samples(N: int, D_exponents: Tuple[int, ...], n_samples: int,
+                         seed: int) -> np.ndarray:
+    """n_samples seeded points (n_samples, N) on the unit sphere of the gauge
+    Sum |z_i|^(1/e_i): Gaussian draws dilated onto it.  Drawn once per
+    argument tuple and shared, so the array is read-only."""
+    rng = random.Random(seed)
+    norm = HomNorm(D_exponents)
+    pts = []
+    while len(pts) < n_samples:
+        u = [rng.gauss(0.0, 1.0) for _ in range(N)]
+        lam = hom_norm_eval(norm, u)
+        if lam < 1e-8:
+            continue
+        pts.append([ui / lam ** e for ui, e in zip(u, D_exponents)])
+    pts = np.array(pts)
+    pts.flags.writeable = False
+    return pts
+
+
 @dataclass
 class KernelSpec:
     """A homogeneous kernel c * P^a on the lifted group, with word derivatives.
@@ -179,17 +200,8 @@ class KernelSpec:
     # -- sampled bounds and invariants -------------------------------------
 
     def _gauge_sphere_samples(self, n_samples: int, seed: int) -> np.ndarray:
-        rng = random.Random(seed)
-        norm = HomNorm(self.lifted.D_exponents)
-        pts = []
-        while len(pts) < n_samples:
-            u = [rng.gauss(0.0, 1.0) for _ in range(self.lifted.N)]
-            lam = hom_norm_eval(norm, u)
-            if lam < 1e-8:
-                continue
-            pts.append([ui / lam ** e
-                        for ui, e in zip(u, self.lifted.D_exponents)])
-        return np.array(pts)
+        return gauge_sphere_samples(self.lifted.N, self.lifted.D_exponents,
+                                    n_samples, seed)
 
     def sup_on_gauge_sphere(self, word: Sequence[int] = (), star: bool = False,
                             n_samples: int = 2000, seed: int = 10007,

@@ -15,11 +15,28 @@ from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize  # unused here; perfbench/layers.py's tracer reads it
 
 from .fields import DilationFamily, PolyVectorField, certify_homogeneity
 from .lifting import FLOW_ITERATION_CAP, exp_flow, flow_map
 from .poly import CompiledPolys, Poly, embed, poly_diff
+
+
+def __getattr__(name: str):
+    """``optimize``: scipy.optimize, imported on first access.  Nothing here
+    uses it; perfbench/layers.py's tracer reads it.  ROADMAP item 4 moves the
+    tracer onto the program's own spans and deletes this."""
+    if name == "optimize":
+        from scipy import optimize
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _checked_tol(tol: float) -> float:
+    """tol itself; a bisection to a tolerance that is not positive and finite
+    either never ends or never starts."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -303,7 +320,7 @@ class MetricSpace:
         bisects between it (or a larger failed scale) and a feasible scale.
         """
         cfg = self.config
-        tol = tol if tol is not None else cfg.tol
+        tol = _checked_tol(tol if tol is not None else cfg.tol)
         if all(float(a) == float(b) for a, b in zip(x, y)):
             return DistanceResult(0.0, 0.0, ControlPath((), 0.0), seed)
         rng = random.Random(seed)
@@ -386,6 +403,8 @@ class MetricSpace:
         means d(x, y) > r: the ball-box principle (Nagel-Stein-Wainger, Acta
         Math. 155, 1985).  The box grows with r, so bisection applies.
         """
+        _checked_tol(tol)
+
         def excluded(r: float) -> bool:
             return any(abs(float(a) - float(b)) > bound
                        for a, b, bound in zip(x, y, self.box_bounds(x, r)))

@@ -231,14 +231,39 @@ def test_json_report_key_order(tmp_path):
         "tol": 1e-3, "seed": 0, "samples": 200, "radius": 1.0}
 
 
-def test_cli_import_leaves_sympy_out():
-    """sympy is a test-only dependency: the package never imports it."""
+def _subprocess_env():
+    """The environment of a fresh interpreter that imports this rockland."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(rockland.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
                  if p]))
+
+
+def test_cli_import_leaves_sympy_out():
+    """sympy is a test-only dependency: the package never imports it.  Nor
+    does importing it load scipy's optimize, integrate, special or linalg,
+    which cost most of a cold start."""
+    heavy = ("sympy", "mpmath", "scipy.optimize", "scipy.integrate",
+             "scipy.special", "scipy.linalg")
     code = "import sys, rockland.cli; print(sorted(m for m in sys.modules " \
-        "if m.split('.')[0] in ('sympy', 'mpmath')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
+        f"if m.startswith(tuple(h + '.' for h in {heavy!r})) " \
+        f"or m in {heavy!r}))"
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                         check=True, capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("distance", "--tol", "0"), ("distance", "--tol", "-1e-3"),
+    ("distance", "--tol", "nan"), ("distance", "--tol", "inf"),
+    ("ballvol", "--samples", "0"), ("ballvol", "--radius", "nan"),
+    ("ballvol", "--radius", "inf"), ("ballvol", "--radius", "-1")])
+def test_bad_metric_flag_exit_code(command, flag, value):
+    """A flag no bisection or sample can use exits 2 naming it; in a
+    subprocess, because the bisection used to run forever on --tol 0."""
+    out = subprocess.run(
+        [sys.executable, "-m", "rockland.cli", command, "--model",
+         model("grushin"), f"{flag}={value}"], env=_subprocess_env(),
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert flag in out.stderr

@@ -67,6 +67,68 @@ def test_kernel_decay_bound(grushin_gamma):
         assert abs(float(fn(*zs))) * rho_s ** 2 <= bound
 
 
+def _uncached_gauge_sphere_samples(N, D_exponents, n_samples, seed):
+    """The seeded draw of kernels.gauge_sphere_samples, made afresh."""
+    rng = random.Random(seed)
+    pts = []
+    while len(pts) < n_samples:
+        u = [rng.gauss(0.0, 1.0) for _ in range(N)]
+        lam = sum(abs(v) ** (1.0 / e) for v, e in zip(u, D_exponents))
+        if lam < 1e-8:
+            continue
+        pts.append([v / lam ** e for v, e in zip(u, D_exponents)])
+    return np.array(pts)
+
+
+def test_gauge_sphere_samples_cached(grushin_gamma, monkeypatch):
+    """The sampled bounds and the homogeneity check give bitwise the values
+    of a fresh draw; the shared array is read-only and keyed by its
+    arguments."""
+    from rockland import kernels
+    K = grushin_gamma["kernel"]
+    N, exps = K.lifted.N, K.lifted.D_exponents
+
+    def values():
+        return (K.sup_on_gauge_sphere((0, 1), star=True),
+                K.rounding_on_gauge_sphere((1,), False, -3),
+                K.check_homogeneity())
+
+    cached = values()
+    monkeypatch.setattr(kernels, "gauge_sphere_samples",
+                        _uncached_gauge_sphere_samples)
+    fresh = values()
+    monkeypatch.undo()
+    assert cached[0] == fresh[0] and cached[2] == fresh[2]
+    assert cached[1][0] == fresh[1][0]
+    assert np.array_equal(cached[1][1], fresh[1][1])
+
+    pts = kernels.gauge_sphere_samples(N, exps, 2000, 10007)
+    assert kernels.gauge_sphere_samples(N, exps, 2000, 10007) is pts
+    assert np.array_equal(
+        pts, _uncached_gauge_sphere_samples(N, exps, 2000, 10007))
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.0
+    other_seed = kernels.gauge_sphere_samples(N, exps, 2000, 10008)
+    assert not np.array_equal(pts, other_seed)
+    fewer = kernels.gauge_sphere_samples(N, exps, 1999, 10007)
+    assert fewer.shape == (1999, N) and np.array_equal(fewer, pts[:1999])
+
+
+def test_unit_ball_volume_gamma_matches_scipy(grushin, three_var_step5,
+                                              grushin_gamma):
+    """math.gamma and scipy.special.gamma agree bitwise on the lifts'
+    arguments, so the evaluator's volume constant is unchanged."""
+    from scipy.special import gamma
+    for lifted in (grushin["lifted"], three_var_step5["lifted"]):
+        for v in [t + 1.0 for t in lifted.tau] + [lifted.E + 1.0]:
+            assert math.gamma(v) == float(gamma(v))
+    lifted = grushin["lifted"]
+    assert lifted.tau == (1,) and lifted.E == 1
+    assert grushin_gamma["ev"]._v1 == (
+        2.0 ** lifted.p * math.prod(float(gamma(t + 1.0)) for t in lifted.tau)
+        / float(gamma(lifted.E + 1.0)))
+
+
 def test_kernel_annihilated_symbolically(grushin, grushin_gamma):
     assert grushin_gamma["kernel"].annihilation_residual(grushin["L"]) == 0
 
@@ -460,6 +522,56 @@ def test_kronrod_rule_exactness():
         kronrod, gauss = (_NODES ** k) @ _RULE_WEIGHTS
         assert (abs(kronrod - exact) <= 1e-15) == (k <= 31) or k % 2
         assert (abs(gauss - exact) <= 1e-15) == (k <= 19) or k % 2
+
+
+def _reference_antiderivatives(nodes):
+    """The tables as first built: each Lagrange polynomial's Legendre
+    antiderivative converted to powers of s + 1 on its own."""
+    lagrange = np.linalg.inv(np.polynomial.legendre.legvander(
+        nodes, len(nodes) - 1))
+    return np.stack([np.polynomial.Legendre(
+        np.polynomial.legendre.legint(c, lbnd=-1.0)).convert(
+            kind=np.polynomial.Polynomial, window=[0.0, 2.0]).coef
+        for c in lagrange.T], axis=1)
+
+
+def _reference_table():
+    from rockland.fundsol import _GAUSS_NODES, _NODES
+    table = np.zeros((22, 31))
+    table[:, :21] = _reference_antiderivatives(_NODES)
+    table[:11, 21:] = _reference_antiderivatives(_NODES[_GAUSS_NODES])
+    return table
+
+
+def test_antiderivative_table_matches_reference():
+    from rockland.fundsol import _ANTIDERIVATIVES
+    ref = _reference_table()
+    assert np.max(np.abs(_ANTIDERIVATIVES - ref)) \
+        <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("f, antiderivative, converges", [
+    (np.exp, np.exp, True), (np.cos, np.sin, True),
+    (lambda x: 1.0 / (1.5 + x), lambda x: np.log(1.5 + x), False)])
+def test_interpolant_integrals_closed_forms(f, antiderivative, converges):
+    """Integrals over [-1, s], s in the inner eighth (-1, -0.75], of the
+    interpolants through both rules' nodes lie as close to the closed form
+    as the reference table's, to 2e-13.  Where the 21-point interpolant
+    itself converges to rounding (exp, cos), that integral lies within 2e-13
+    of the closed form; the 10-point interpolants and that of 1/(1.5 + x),
+    whose pole is near, miss it by their own interpolation error."""
+    from rockland.fundsol import _GAUSS_NODES, _NODES, _interpolant_integrals
+    s = np.linspace(-1.0, -0.75, 41)[1:]
+    samples = np.repeat(f(_NODES)[None], len(s), axis=0)
+    exact = antiderivative(s) - antiderivative(-1.0)
+    weights = ((s + 1.0)[:, None] ** np.arange(22)) @ _reference_table()
+    ref = (weights[:, :21] @ f(_NODES),
+           weights[:, 21:] @ f(_NODES)[_GAUSS_NODES])
+    kronrod, gauss = _interpolant_integrals(samples, s)
+    for got, old in zip((kronrod, gauss), ref):
+        assert np.all(np.abs(got - exact) <= np.abs(old - exact) + 2e-13)
+    if converges:
+        assert np.max(np.abs(kronrod - exact)) <= 2e-13
 
 
 def test_panel_integral_per_owner():

@@ -128,6 +128,16 @@ def test_distance_origin_scaling(grushin_metric):
             assert abs(scaled - lam * base) <= 0.05 * lam * base
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+def test_distance_rejects_bad_tol(grushin_metric, tol):
+    """A bisection to a tolerance that is not positive and finite never ends
+    (0, negative) or never starts (nan)."""
+    with pytest.raises(ValueError, match="tol"):
+        grushin_metric.distance([0.0, 0.0], [1.0, 0.0], tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        grushin_metric.box_lower([0.0, 0.0], [1.0, 0.0], 1.0, tol)
+
+
 def test_distance_seeded_reproducible(grushin_metric):
     a = grushin_metric.distance([0.1, 0.5], [-0.8, 0.2], seed=5)
     b = grushin_metric.distance([0.1, 0.5], [-0.8, 0.2], seed=5)
