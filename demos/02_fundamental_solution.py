@@ -2,8 +2,8 @@
 
 The closed-form kernel on the lifted (Heisenberg) group is calibrated
 against the defining integral identity, then integrated over the extra
-variable to produce Gamma(x, y) downstairs, with closed-form tail bounds
-from a sampled supremum of the kernel.
+variable, over the whole fiber out to infinity, to produce Gamma(x, y)
+downstairs with the quadrature's error bound.
 """
 
 from rockland import (
@@ -44,7 +44,8 @@ for x, y in [([1.0, 0.0], [0.0, 0.0]),
              ([2.0, 0.0], [0.0, 0.0])]:
     rec = ev.gamma_record(x, y)
     print(f"Gamma({x}, {y}) = {rec.value:.10f}"
-          f"  (error bound {rec.error_bound:.1e}, radius {rec.radius:.1f})")
+          f"  (error bound {rec.error_bound:.1e}, "
+          f"{rec.tail_bound:.1e} of it from the tails)")
 
 print("\n== homogeneity: Gamma(d_2 x, d_2 y) should be Gamma(x, y) / 2")
 a = ev.gamma_eval([1.0, 0.0], [0.0, 0.0])

@@ -39,7 +39,7 @@ from .metric import MetricSpace
 from .model import ModelParseError, ModelSpec, load_model
 from .poly import Poly
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 DEFAULTS = {"tol": 1e-3, "seed": 0, "samples": 200, "radius": 1.0}
 
@@ -287,8 +287,7 @@ def cmd_gamma(model: ModelSpec, args, rep: Report):
         finite = finite and math.isfinite(rec.value) \
             and all(math.isfinite(v) for v in derivs.values())
         rows.append({"x": x, "y": y, "gamma": rec.value,
-                     "error_bound": rec.error_bound, "radius": rec.radius,
-                     **derivs})
+                     "error_bound": rec.error_bound, **derivs})
     rep.doc["results"] = {
         "kernel_constant": kernel.calibration_constant,
         "homogeneity_degree": model.operator.nu - lifted.q,
@@ -510,8 +509,22 @@ def _bad_flag(args) -> Optional[str]:
     return None
 
 
+def _attach_at_values(argv: Sequence[str]) -> List[str]:
+    """Each '--at' joined with a following value that starts with a negative
+    number, as '--at=VALUE': argparse would take the value for an option."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] == "--at" and arg[:1] == "-" \
+                and (arg[1:2].isdigit() or arg[1:2] == "."):
+            out[-1] = f"--at={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_at_values(sys.argv[1:] if argv is None else argv))
     bad = _bad_flag(args)
     if bad:
         print(f"error: {bad}", file=sys.stderr)

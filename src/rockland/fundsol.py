@@ -4,11 +4,9 @@ Gamma(x, y) integrates the lifted kernel over the complementary variables,
 after the unimodular slice change of variable that places the fiber gauge
 directly on the integration variable.  The kernel and its derivatives are
 exact jets (see kernels.py), evaluated along each fiber as polynomials in
-the fiber variable.  The core and the tails up to a truncation radius are
-integrated by one vectorised Gauss-Kronrod panel rule; beyond the radius
-the integral is bounded in closed form by a dyadic-shell geometric series
-whose constant is a sampled supremum of the kernel on the unit gauge
-sphere.
+the fiber variable.  The core and both whole tails, the tails in the
+reciprocal of the fiber variable out to infinity, are integrated by one
+vectorised Gauss-Kronrod panel rule.
 """
 
 from __future__ import annotations
@@ -44,35 +42,33 @@ class ExistenceError(ValueError):
     """Raised when no dilation-homogeneous global fundamental solution exists."""
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 200
     core_radius_factor: float = 8.0
-    min_radius_factor: float = 64.0
     sup_samples: int = 2000
     sup_safety: float = 2.0
     seed: int = 10007
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("rel_tol", "abs_tol", "core_radius_factor"):
+            _require_positive(name, getattr(self, name))
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions too small")
-        # the integral beyond the truncation radius is taken off the tail
-        # panels' inner eighth, where their interpolant is accurate
-        if self.min_radius_factor < 8.0 * self.core_radius_factor:
-            raise ValueError("min_radius_factor must be at least 8 times "
-                             "core_radius_factor")
 
 
 @dataclass(frozen=True)
 class GammaRecord:
     value: float
     error_bound: float
-    tail_bound: float
-    radius: float
+    tail_bound: float    # the tail panels' share of error_bound
     method: str          # "exact" sensitivities or "fd" fallback
     route: str           # "plain" kernel or "star" (transposed) kernel
     word: Tuple[int, ...]
@@ -323,56 +319,25 @@ _CHUNK = 512
 _EPS = np.finfo(float).eps
 # QUADPACK's floor on a panel's error estimate, relative to the integral of |f|
 _ROUNDING = 50.0 * _EPS
-# the core's panel edges on each side of zeta = 0 inside core_radius_factor,
-# in units of g0, where the integrand's features lie.  A single pair costs
-# per pass of the rule, so it starts on fine panels that seldom need a
-# second pass (1.05 passes per integral on pairs drawn like the bench's,
-# 1.31 with edges at 0.5, 1, 2, 4 only); a batch costs per node, so it
-# starts on coarse ones
-_CORE_SPLITS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0)
-_BATCH_SPLITS = (2.0,)
-
-
-def _legendre_in_powers(degree: int) -> np.ndarray:
-    """Column k: the Legendre polynomial P_k(s) in powers of t = s + 1, by
-    (k + 1) P_{k+1} = (2k + 1) (t - 1) P_k - k P_{k-1}."""
-    table = np.zeros((degree + 1, degree + 1))
-    table[0, 0] = 1.0
-    table[:2, 1] = -1.0, 1.0
-    for k in range(1, degree):
-        times_s = np.roll(table[:, k], 1) - table[:, k]
-        table[:, k + 1] = ((2 * k + 1) * times_s
-                           - k * table[:, k - 1]) / (k + 1)
-    return table
-
-
-def _antiderivatives(nodes: np.ndarray) -> np.ndarray:
-    """Column i: coefficients, in powers of s + 1, of the integral over
-    [-1, s] of the polynomial that is 1 at nodes[i] and 0 at the others."""
-    n = len(nodes)
-    lagrange = np.linalg.inv(np.polynomial.legendre.legvander(nodes, n - 1))
-    return _legendre_in_powers(n) @ np.polynomial.legendre.legint(
-        lagrange, lbnd=-1.0, axis=0)
-
-
-# both rules' antiderivative tables side by side, the Gauss one padded
-_ANTIDERIVATIVES = np.zeros((22, 31))
-_ANTIDERIVATIVES[:, :21] = _antiderivatives(_NODES)
-_ANTIDERIVATIVES[:11, 21:] = _antiderivatives(_NODES[_GAUSS_NODES])
-_POWERS = np.arange(22)
-# the samples each column of _ANTIDERIVATIVES weighs, and the rule it is in
-_WEIGHED = np.r_[0:21, _GAUSS_NODES]
-_RULE_OF_COLUMN = np.zeros((31, 2))
-_RULE_OF_COLUMN[:21, 0] = _RULE_OF_COLUMN[21:, 1] = 1.0
+# starting layouts (core, tails): the core's panel edges on each side of
+# zeta = 0 inside core_radius_factor, in units of g0, where the integrand's
+# features lie, and the tails' edges in u = 1/zeta from u = 0, in units of
+# 1/r0.  A single pair costs per pass of the rule, so it starts on fine
+# panels that seldom need a second pass (1.05 passes per integral on pairs
+# drawn like the bench's, 1.31 with edges at 0.5, 1, 2, 4 only); a batch
+# costs per node, so it starts on coarse ones.  _SPLIT_TAILS cuts each
+# tail's panel in two at |u| = 1/(8 r0), for tail_doubling_check
+_CORE_LAYOUT = ((0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0), (0.0, 1.0))
+_BATCH_LAYOUT = ((2.0,), (0.0, 1.0))
+_SPLIT_TAILS = (_CORE_LAYOUT[0], (0.0, 0.125, 1.0))
 
 
 class PanelSums(NamedTuple):
-    """Per starting panel of panel_integral: the integral over it, its error
-    estimate, and f at its first nodes (the Kronrod nodes, in order)."""
+    """Per starting panel of panel_integral: the integral over it and its
+    error estimate."""
 
     value: np.ndarray
     error: np.ndarray
-    first: np.ndarray
 
 
 def panel_integral(f: Callable[[np.ndarray, np.ndarray],
@@ -399,7 +364,7 @@ def panel_integral(f: Callable[[np.ndarray, np.ndarray],
     count = len(lo)
     owners = int(owner[-1]) + 1
     rows = np.arange(count)
-    value = error = noise_done = spent = width = first = given_up = None
+    value = error = noise_done = spent = width = given_up = None
     while True:
         half = 0.5 * (hi - lo)
         t = (lo + half)[:, None] + half[:, None] * _NODES
@@ -419,8 +384,8 @@ def panel_integral(f: Callable[[np.ndarray, np.ndarray],
         quad = np.maximum(np.abs(fine - rules[:, 1]), _ROUNDING * mass)
         noise = (slips @ _RULE_WEIGHTS[_GAUSS_NODES, 1]) * half
         err = quad + noise
-        if first is None:
-            first, value_now, error_now = samples, fine, err
+        if given_up is None:                            # the first pass
+            value_now, error_now = fine, err
         else:
             value_now = value + np.bincount(rows, fine, count)
             error_now = error + np.bincount(rows, err, count)
@@ -431,7 +396,7 @@ def panel_integral(f: Callable[[np.ndarray, np.ndarray],
         finite = np.isfinite(total_err)
         if given_up is None:
             if not unmet.any() and finite.all():
-                return PanelSums(value_now, error_now, first)
+                return PanelSums(value_now, error_now)
             value, error = np.zeros(count), np.zeros(count)
             noise_done = np.zeros(owners)       # of the accepted panels
             spent = np.zeros(owners, dtype=int)             # bisections
@@ -471,7 +436,7 @@ def panel_integral(f: Callable[[np.ndarray, np.ndarray],
         error += np.bincount(rows[good], err[good], count)
         noise_done += np.bincount(own[good], noise[good], owners)
         if not bad.any():
-            return PanelSums(value, error, first)
+            return PanelSums(value, error)
         spent += np.where(quit, 0, more)
         mid = lo[bad] + half[bad]
         lo = np.stack([lo[bad], mid], 1).ravel()
@@ -479,28 +444,20 @@ def panel_integral(f: Callable[[np.ndarray, np.ndarray],
         rows = np.repeat(rows[bad], 2)
 
 
-def _interpolant_integrals(samples: np.ndarray, s: np.ndarray
-                           ) -> Tuple[np.ndarray, np.ndarray]:
-    """Integrals over [-1, s] of the polynomials through samples (M, 21) at
-    the Kronrod nodes and through their Gauss-node part, for each row and
-    its s (M,) near -1 (the tables are in powers of s + 1)."""
-    weights = ((s + 1.0)[:, None] ** _POWERS) @ _ANTIDERIVATIVES
-    both = (weights * samples[:, _WEIGHED]) @ _RULE_OF_COLUMN
-    return both[:, 0], both[:, 1]
-
-
 # -- the saturation evaluator ------------------------------------------------------
 
-def _start_panels(splits: Sequence[float], factor: float
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pair's starting panels (lo, hi, is_tail): the core's edges at
-    +-splits and +-factor in units of g0, then the tails [-1, 0] and [0, 1]
-    in units of 1/r0."""
+def _start_panels(layout: Tuple[Tuple[float, ...], Tuple[float, ...]],
+                  factor: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pair's starting panels (lo, hi, is_tail) of a layout (splits,
+    tails): the core's edges at +-splits and +-factor in units of g0, then
+    the tails' at -tails and tails in units of 1/r0."""
+    splits, tails = layout
     right = [v for v in splits if v < factor] + [factor]
     edges = [-v for v in reversed(right)] + [0.0] + right
-    return (np.array(edges[:-1] + [-1.0, 0.0]),
-            np.array(edges[1:] + [0.0, 1.0]),
-            np.arange(len(edges) + 1) >= len(edges) - 1)
+    left = [-v for v in reversed(tails)]
+    lo = edges[:-1] + left[:-1] + list(tails[:-1])
+    return (np.array(lo), np.array(edges[1:] + left[1:] + list(tails[1:])),
+            np.arange(len(lo)) >= len(edges) - 1)
 
 
 def _int_power(x: np.ndarray, k: int) -> np.ndarray:
@@ -557,9 +514,9 @@ class SaturationEvaluator:
             or X.declared_degree
             for X in lifted.base_fields)
         self._build_integrand_maps()
-        self._layouts = {splits: _start_panels(splits,
-                                               self.config.core_radius_factor)
-                         for splits in (_CORE_SPLITS, _BATCH_SPLITS)}
+        self._layouts = {layout: _start_panels(
+            layout, self.config.core_radius_factor)
+            for layout in (_CORE_LAYOUT, _BATCH_LAYOUT, _SPLIT_TAILS)}
         self._sups: Dict[Tuple[str, Tuple[int, ...]], float] = {}
         self._roundings: Dict[Tuple[str, Tuple[int, ...]],
                               Tuple[float, np.ndarray]] = {}
@@ -697,46 +654,33 @@ class SaturationEvaluator:
 
     def _tail_constants(self, route: str,
                         word: Tuple[int, ...]) -> Tuple[int, float]:
-        """Exponent s_e and constant C of the closed-form tail bound C * R^s_e
-        of the fiber integral beyond radius R."""
+        """Exponent s_e and constant C of the closed-form bound C * R^s_e on
+        the fiber integral beyond radius R (xi_profile's witness)."""
         lifted = self.lifted
         s_e = self.operator.nu - self._word_weight(word) - lifted.q
         t_const = self._sup_bound(route, word) * self._v1 \
             * 2.0 ** lifted.E / (1.0 - 2.0 ** s_e)
         return s_e, t_const
 
-    def _tail_cut(self, core, g0, s_e: int, t_const: float, rel: float,
-                  radius_boost: float):
-        """Target accuracy, truncation radius and tail bound from the core
-        value, on floats or elementwise on arrays of points."""
-        cfg = self.config
-        target = np.maximum(cfg.abs_tol, rel * np.abs(core))
-        radius = np.maximum((target / t_const) ** (1.0 / s_e),
-                            cfg.min_radius_factor * g0) * radius_boost
-        return target, radius, t_const * radius ** s_e
-
     def _saturate(self, route: str, word: Tuple[int, ...], xs: np.ndarray,
-                  ys: np.ndarray, rel: float, radius_boost: float,
-                  splits: Tuple[float, ...] = _CORE_SPLITS
-                  ) -> Tuple[np.ndarray, ...]:
-        """Value, error bound, tail bound and radius (each (M,)) of the
-        fiber integrals over M pairs, given as arrays (n, M).
+                  ys: np.ndarray, rel_tol: Optional[float],
+                  layout=_CORE_LAYOUT) -> Tuple[np.ndarray, ...]:
+        """Value, error bound and the tail panels' share of that bound (each
+        (M,)) of the fiber integrals over M pairs, given as arrays (n, M),
+        to rel_tol (the config's when None).
 
         One panel_integral covers, per pair, the core [-r0, r0] in zeta
         (edges at multiples of g0, where the integrand's features lie) and
         both whole tails in u = 1/zeta, [-1/r0, 0] and [0, 1/r0], where the
-        integrand is smooth up to u = 0.  The part beyond the truncation
-        radius, |u| < 1/radius, is then taken off again: it is the integral
-        of the rule's interpolant on the tail panels' first samples, whose
-        left (right) half holds it, with the whole panel's interpolant as
-        its error estimate.  So one pass evaluates core and tails together,
-        and the truncation stays as _tail_cut sets it from the core value.
+        integrand is smooth up to u = 0.  So one pass evaluates core and
+        tails together, out to infinity.
         """
         cfg = self.config
+        rel = cfg.rel_tol if rel_tol is None else rel_tol
+        _require_positive("rel_tol", rel)
         coeffs, g0 = self._fiber(xs, ys)
-        s_e, t_const = self._tail_constants(route, word)
         on_fiber = self._on_fiber(route, word)
-        start_lo, start_hi, start_tail = self._layouts[splits]
+        start_lo, start_hi, start_tail = self._layouts[layout]
         pairs, per = len(g0), len(start_tail)
         inv_r0 = 1.0 / (cfg.core_radius_factor * g0)
         scale = np.where(start_tail, inv_r0[:, None], g0[:, None])
@@ -755,33 +699,17 @@ class SaturationEvaluator:
         sums = panel_integral(f, (scale * start_lo).ravel(),
                               (scale * start_hi).ravel(), owner,
                               cfg.abs_tol, rel / 4.0, cfg.max_subdivisions)
-        value = sums.value.reshape(pairs, per)
-        core = value[:, :-2].sum(axis=1)
-        target, radius, tail = self._tail_cut(core, g0, s_e, t_const, rel,
-                                              radius_boost)
-        # |u| < 1/radius lies in the inner eighth of both tail panels; the
-        # negative panel mirrored onto the positive one, one interpolant
-        # integral takes both, the Kronrod nodes' with the Gauss nodes' as
-        # its check
-        first = sums.first.reshape(pairs, per, -1)
-        beyond, check = _interpolant_integrals(
-            first[:, -1] + first[:, -2, ::-1], 2.0 / (inv_r0 * radius) - 1.0)
-        beyond *= 0.5 * inv_r0
-        check *= 0.5 * inv_r0
-        error = sums.error.reshape(pairs, per).sum(axis=1) \
-            + np.abs(beyond - check) + tail
-        return value.sum(axis=1) - beyond, error, tail, radius
+        error = sums.error.reshape(pairs, per)
+        return (sums.value.reshape(pairs, per).sum(axis=1), error.sum(axis=1),
+                error[:, start_tail].sum(axis=1))
 
     def _integral(self, route: str, word: Tuple[int, ...],
                   x: Sequence[float], y: Sequence[float],
-                  rel_tol: Optional[float] = None,
-                  radius_boost: float = 1.0) -> GammaRecord:
-        rel = rel_tol if rel_tol is not None else self.config.rel_tol
-        value, error, tail, radius = (float(v[0]) for v in self._saturate(
+                  rel_tol: Optional[float] = None) -> GammaRecord:
+        value, error, tail = (float(v[0]) for v in self._saturate(
             route, tuple(word), np.array(x, dtype=float)[:, None],
-            np.array(y, dtype=float)[:, None], rel, radius_boost))
-        return GammaRecord(value, error, tail, radius, "exact", route,
-                           tuple(word))
+            np.array(y, dtype=float)[:, None], rel_tol))
+        return GammaRecord(value, error, tail, "exact", route, tuple(word))
 
     # -- public evaluation -----------------------------------------------------
 
@@ -795,12 +723,11 @@ class SaturationEvaluator:
         the panel rule: the pointwise route's integrals with their own
         tolerances, evaluated together.  The record's numeric fields are
         arrays."""
-        rel = rel_tol if rel_tol is not None else self.config.rel_tol
         xs = np.asarray(xs, dtype=float)
         ys = np.broadcast_to(np.asarray(ys, dtype=float), xs.shape)
-        value, error, tail, radius = self._saturate(
-            "plain", (), xs.T, ys.T, rel, 1.0, _BATCH_SPLITS)
-        return GammaRecord(value, error, tail, radius, "exact", "plain", ())
+        value, error, tail = self._saturate("plain", (), xs.T, ys.T, rel_tol,
+                                            _BATCH_LAYOUT)
+        return GammaRecord(value, error, tail, "exact", "plain", ())
 
     def gamma_eval(self, x: Sequence[float], y: Sequence[float]) -> float:
         return self.gamma_record(x, y).value
@@ -836,8 +763,8 @@ class SaturationEvaluator:
             return (rec(w[1:], fwd) - rec(w[1:], bwd)) / (2.0 * step)
 
         val = rec(word, [float(v) for v in x])
-        return GammaRecord(val, abs(val) * step ** 2 + step ** 2, 0.0, 0.0,
-                           "fd", "plain", word)
+        return GammaRecord(val, abs(val) * step ** 2 + step ** 2, 0.0, "fd",
+                           "plain", word)
 
     def xi_profile(self, x: Sequence[float], y: Sequence[float],
                    word: Sequence[int] = ()) -> Tuple[Callable, float, int]:
@@ -884,15 +811,17 @@ class SaturationEvaluator:
     def tail_doubling_check(
             self, pairs: Sequence[Tuple[Sequence, Sequence]]
     ) -> List[Tuple[float, float, bool]]:
-        """Doubling the truncation radius moves values less than the bound."""
-        out = []
-        for x, y in pairs:
-            r1 = self.gamma_record(x, y)
-            r2 = self.gamma_record(x, y, radius_boost=2.0)
-            delta = abs(r1.value - r2.value)
-            bound = r1.error_bound + r2.error_bound
-            out.append((delta, bound, delta <= bound))
-        return out
+        """(delta, bound, ok) per pair: doubling each tail's starting panel,
+        split in two at |u| = 1/(8 r0), moves Gamma by delta, which must lie
+        within the bound, the two values' summed error bounds.  A tail not
+        integrated out to u = 0, or wrongly near it, shows as a difference
+        between the two layouts."""
+        xs, ys = (np.array(v, dtype=float).T for v in zip(*pairs))
+        one, one_error, _ = self._saturate("plain", (), xs, ys, None)
+        two, two_error, _ = self._saturate("plain", (), xs, ys, None,
+                                           _SPLIT_TAILS)
+        return [(float(d), float(b), bool(d <= b)) for d, b in
+                zip(np.abs(one - two), one_error + two_error)]
 
     def verify_left_inverse(self, bump: BumpSpec, y: Sequence[float],
                             panels: int = 8, nodes: int = 10,

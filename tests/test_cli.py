@@ -28,7 +28,7 @@ def test_analyze_grushin(tmp_path, capsys):
     assert run(["analyze", "--model", model("grushin"),
                 "--json", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     res = doc["results"]
     assert res["nu"] == [1, 1] and res["q"] == 3
     assert res["N"] == 3 and res["p"] == 1 and res["step"] == 2
@@ -167,7 +167,7 @@ def test_report_grushin_full_pipeline(tmp_path):
     assert run(["report", "--model", model("grushin"),
                 "--json", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert len(doc["checks"]) >= 12
     assert all(c["status"] == "pass" for c in doc["checks"])
     assert set(doc["results"]) == {"analyze", "lift", "heat", "verify"}
@@ -267,3 +267,16 @@ def test_bad_metric_flag_exit_code(command, flag, value):
         capture_output=True, text=True, timeout=60)
     assert out.returncode == 2
     assert flag in out.stderr
+
+
+@pytest.mark.parametrize("command", ["gamma", "distance"])
+@pytest.mark.parametrize("form", [["--at", "-1,0;0,0"], ["--at=-1,0;0,0"]])
+def test_at_value_with_leading_minus(command, form):
+    """A point pair that starts with a negative coordinate is read as the
+    value of --at, given after a space or after '='."""
+    out = subprocess.run(
+        [sys.executable, "-m", "rockland.cli", command, "--model",
+         model("grushin"), *form], env=_subprocess_env(),
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "[pass]" in out.stdout
