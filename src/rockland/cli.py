@@ -123,7 +123,22 @@ class Report:
 
 
 def _parse_points(text: str) -> List[List[float]]:
-    return [[float(v) for v in part.split(",")] for part in text.split(";")]
+    """The points 'x1,..,xn;y1,..,yn' of an --at value; a coordinate that
+    is not a finite number is a ValueError naming it."""
+    points = []
+    for part in text.split(";"):
+        point = []
+        for v in part.split(","):
+            try:
+                x = float(v)
+            except ValueError:
+                x = math.nan
+            if not math.isfinite(x):
+                raise ValueError(f"--at {text!r}: coordinate {v.strip()!r} "
+                                 "is not a finite number")
+            point.append(x)
+        points.append(point)
+    return points
 
 
 def _pairs_from_flags(args: argparse.Namespace, n: int,
@@ -133,8 +148,8 @@ def _pairs_from_flags(args: argparse.Namespace, n: int,
         for spec in args.at:
             pts = _parse_points(spec)
             if len(pts) != 2 or any(len(p) != n for p in pts):
-                raise SystemExit(
-                    f"error: --at {spec!r} must be two {n}-dimensional "
+                raise ValueError(
+                    f"--at {spec!r} must be two {n}-dimensional "
                     "points 'x1,..,xn;y1,..,yn'")
             pairs.append((pts[0], pts[1]))
         return pairs
@@ -275,8 +290,8 @@ def cmd_lift(model: ModelSpec, args, rep: Report, lifted=None):
 
 
 def cmd_gamma(model: ModelSpec, args, rep: Report):
-    lifted, kernel, op_lifted, ev = _evaluator(model)
     pairs = _pairs_from_flags(args, model.n)
+    lifted, kernel, op_lifted, ev = _evaluator(model)
     m = len(model.fields)
     rows = []
     finite = True
@@ -376,7 +391,8 @@ def cmd_ballvol(model: ModelSpec, args, rep: Report):
     if args.at:
         center = _parse_points(args.at[0])[0]
         if len(center) != model.n:
-            raise SystemExit(f"error: --at center must have {model.n} coordinates")
+            raise ValueError(f"--at {args.at[0]!r}: the center must have "
+                             f"{model.n} coordinates")
     else:
         center = [0.0] * model.n
     radii = [args.radius * 2.0 ** k for k in range(-3, 3)]

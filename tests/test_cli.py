@@ -269,6 +269,24 @@ def test_bad_metric_flag_exit_code(command, flag, value):
     assert flag in out.stderr
 
 
+@pytest.mark.parametrize("command, value", [
+    ("gamma", "a,0;0,0"), ("gamma", "nan,0;0,0"), ("gamma", "0,0;inf,0"),
+    ("gamma", "1,0,0;0,0"), ("distance", "0,x;0,0"),
+    ("distance", "-inf,0;0,0"), ("ballvol", "1,x"), ("ballvol", "nan,0"),
+    ("ballvol", "1,0,0")])
+def test_bad_at_value_exit_code(command, value):
+    """An --at coordinate that is not a finite number, or a point of the
+    wrong dimension, exits 2 naming --at and the text given; in a
+    subprocess, because a non-finite point used to run on to a failed
+    check or an uncaught error."""
+    out = subprocess.run(
+        [sys.executable, "-m", "rockland.cli", command, "--model",
+         model("grushin"), f"--at={value}"], env=_subprocess_env(),
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2, out.stderr
+    assert f"--at {value!r}" in out.stderr, out.stderr
+
+
 @pytest.mark.parametrize("command", ["gamma", "distance"])
 @pytest.mark.parametrize("form", [["--at", "-1,0;0,0"], ["--at=-1,0;0,0"]])
 def test_at_value_with_leading_minus(command, form):

@@ -184,9 +184,40 @@ def test_calibration_pole_residuals(grushin_gamma):
 
 
 def test_calibration_constant_is_one_over_two_pi(grushin_gamma):
-    """The Heisenberg gauge kernel of the Grushin lift is 1/(2 pi) rho^-2."""
+    """The Heisenberg gauge kernel of the Grushin lift is 1/(2 pi) rho^-2.
+
+    The pin is the 8x12 rule's own value, 5e-9 relative from 1/(2 pi):
+    any change of the rule's nodes or weights moves it, rounding does not."""
     c = grushin_gamma["kernel"].calibration_constant
     assert c == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-6)
+    assert c == pytest.approx(0.1591549422929308, rel=1e-13)
+
+
+def test_calibration_independent_of_block_size(grushin_gamma, monkeypatch):
+    """Blocks of an odd size do not line up with the rules' slabs: a
+    dropped or doubled block would move the constant and the residuals."""
+    import rockland.fundsol as fundsol
+    K, Lt = grushin_gamma["kernel"], grushin_gamma["Lt"]
+    monkeypatch.setattr(fundsol, "_EVAL_BLOCK", 997)
+    small = kernel_calibrate(K.with_constant(1.0), K.lifted, Lt)
+    assert small.calibration_constant == pytest.approx(
+        K.calibration_constant, rel=1e-14)
+    np.testing.assert_allclose(calibration_residuals(small, Lt),
+                               calibration_residuals(K, Lt), rtol=0,
+                               atol=1e-12)
+
+
+def test_calibration_reports_rule_disagreement(grushin_gamma):
+    """The two rules differ by ~4e-7 relative on the Grushin kernel: a
+    tighter check_tol fails, and the message gives both integrals, their
+    gap and the tolerance."""
+    K, Lt = grushin_gamma["kernel"], grushin_gamma["Lt"]
+    with pytest.raises(ValueError) as err:
+        kernel_calibrate(K.with_constant(1.0), K.lifted, Lt, check_tol=1e-8)
+    message = str(err.value)
+    for text in ("6x10 rule gives -6.2831", "8x12 rule -6.2831",
+                 "relative gap of 4", "check_tol 1e-08"):
+        assert text in message, message
 
 
 def test_calibration_linearity(grushin_gamma):
@@ -649,3 +680,26 @@ def test_tensor_gl_grid_exactness():
     vals = pts[:, 0] ** 4 * pts[:, 1] ** 2
     exact = ((2.0 ** 5 - (-1.0) ** 5) / 5.0) * (1.0 / 3.0)
     assert float(np.sum(vals * wts)) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("bump, panels, nodes", [
+    (BumpSpec((0.5, -1.0), flat_radius=0.75, support_radius=1.5), 3, 5),
+    (BumpSpec((0.0, 0.0)), 4, 6),
+    (BumpSpec((0.25, 0.0, -0.5)), 2, 4),
+    (BumpSpec((0.0, 0.0, 0.0), flat_radius=0.5, support_radius=1.25), 3, 3),
+])
+def test_annulus_rule_is_the_masked_grid(bump, panels, nodes):
+    """The annulus rule keeps the nodes and weights of the full tensor grid
+    that lie in the open annulus, and no others."""
+    from rockland.fundsol import _annulus_rule
+    pts, wts = tensor_gl_grid(bump.box(), panels, nodes)
+    r2 = np.sum((pts - np.asarray(bump.center)) ** 2, axis=1)
+    inside = (r2 > bump.flat_radius ** 2) & (r2 < bump.support_radius ** 2)
+    assert 0 < inside.sum() < len(inside)
+    got_pts, got_wts = _annulus_rule(bump, panels, nodes)
+    want = np.column_stack([pts[inside], wts[inside]])
+    got = np.column_stack([got_pts, got_wts])
+    want, got = (a[np.lexsort(a[:, ::-1].T)] for a in (want, got))
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got[:, :-1], want[:, :-1])
+    np.testing.assert_allclose(got[:, -1], want[:, -1], rtol=0, atol=1e-15)
