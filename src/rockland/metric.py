@@ -1,7 +1,10 @@
 """Weighted control distance, metric ball volumes and estimate harnesses.
 
-Paths are piecewise-constant controls; each segment endpoint is a polynomial
-in the start point and the controls (the Lie series terminates), so the inner
+Paths are piecewise-constant controls.  Over one segment, coordinate i moves
+by an increment that is a polynomial in the controls and in the coordinates
+of strictly lower weight: the coefficient c_ij of X_j has weight
+sigma_i - nu_j < sigma_i, and the Lie series terminates.  So the flow along a
+path is computed one weight level at a time over all segments, and the inner
 feasibility minimization has exact gradients.  All randomness is seeded and
 the seed travels with every result record.
 """
@@ -37,6 +40,14 @@ def _checked_tol(tol: float) -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     return tol
+
+
+def _checked_point(name: str, p: Sequence[float], n: int) -> None:
+    """A point must have n finite coordinates; the feasibility search and
+    the excursion box neither reject nor survive anything else."""
+    if len(p) != n or not all(math.isfinite(float(v)) for v in p):
+        raise ValueError(f"{name} must be {n} finite coordinates, "
+                         f"got {list(p)}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +125,12 @@ _STALL_WINDOW = 5
 _STALL_FACTOR = 0.9
 _ACTIVE_SET_PASSES = 8
 
+# `_flow_batch` takes the members in blocks whose largest array holds at
+# most this many floats (512 KiB).  Larger blocks fall out of cache: on a
+# 2-core Xeon with 2 MiB of L2 per core, 3,200 members at 4 segments took up
+# to 1.8x as long in blocks of 2^17 floats or in one block
+_FLOW_BLOCK_FLOATS = 1 << 16
+
 
 def endpoint(x: Sequence, path: ControlPath,
              fields: Sequence[PolyVectorField]) -> list:
@@ -132,6 +149,17 @@ def endpoint(x: Sequence, path: ControlPath,
             V = V.add(X.scale(Fraction(a)))
         cur = exp_flow(V, cur, Fraction(duration))
     return cur if exact else [float(v) for v in cur]
+
+
+def _restrict(p: Poly, keep: Sequence[int], what: str) -> Poly:
+    """p as a polynomial in the variables ``keep``, in that order; a term in
+    any other variable is an error, described by ``what``."""
+    terms = {}
+    for mono, c in p.terms.items():
+        if sum(mono[k] for k in keep) != sum(mono):
+            raise ValueError(what)
+        terms[tuple(mono[k] for k in keep)] = c
+    return Poly._of(len(keep), terms)
 
 
 def _series_mul(a: List[float], b: List[float]) -> List[float]:
@@ -171,14 +199,21 @@ class MetricSpace:
             for i in sorted(range(self.n), key=lambda k: delta.sigma[k])]
         self._compile_flow()
 
-    # -- compiled time-1 flow in (x, controls) --------------------------------
+    # -- compiled time-1 flow, one weight level at a time --------------------
 
     def _compile_flow(self) -> None:
-        """One evaluator for the time-1 flow and its exact Jacobians.
+        """Per weight level, one evaluator for the time-1 flow's increments.
 
-        At B points (x, controls) given as the columns of an array
-        (n + m, B) it returns (n + n*n + n*m, B): the endpoint, then
-        d(endpoint)/dx row by row, then d(endpoint)/da row by row.
+        The time-1 flow of Sum_j a_j X_j moves coordinate i by an increment
+        g_i(a, x) = flow_i(a, x) - x_i.  The coefficient c_ij of X_j has
+        weight sigma_i - nu_j < sigma_i (every nu_j >= 1), so g_i reads only
+        the controls and the coordinates of strictly lower weight.  The
+        permutation ``_perm`` groups the coordinates by weight.  A level is
+        (lo, hi, polys): its coordinates are _perm[lo:hi], and at points
+        (a, x[_perm[:lo]]) given as the columns of an array (m + lo, M),
+        polys returns (k + k * (m + lo), M) for its k = hi - lo coordinates:
+        the increments, then each increment's derivatives with respect to
+        those m + lo variables, row by row.
         """
         n, m = self.n, self.m
         nv = n + m
@@ -189,35 +224,92 @@ class MetricSpace:
                 + (Poly.zero(nv),) * m
             V = V.add(PolyVectorField(nv, coeffs))
         maps = flow_map(V, range(n), FLOW_ITERATION_CAP)
-        self._flow = CompiledPolys(
-            maps + [poly_diff(p, k) for p in maps for k in range(n)]
-            + [poly_diff(p, n + j) for p in maps for j in range(m)])
+        sigma = self.delta.sigma
+        perm = sorted(range(n), key=lambda i: sigma[i])
+        # a slice where the coordinates are in weight order already, which
+        # spares _flow_batch two gathers
+        self._perm = slice(None) if perm == list(range(n)) else np.array(perm)
+        self._levels = []
+        # floats per (member, segment) in the largest array of the sweep:
+        # the accumulated products (n, m + n), or a level's tables of
+        # powers, monomials and outputs
+        self._column_floats = n * nv
+        lo = 0
+        for w in sorted(set(sigma)):
+            hi = lo + sigma.count(w)
+            inputs = list(range(n, nv)) + perm[:lo]
+            incs = [_restrict(maps[i] - Poly.var(nv, i), inputs,
+                              f"the flow's increment of x{i + 1} reads a "
+                              f"coordinate of weight {w} or more")
+                    for i in perm[lo:hi]]
+            polys = CompiledPolys(incs + [poly_diff(g, k) for g in incs
+                                          for k in range(len(inputs))])
+            self._levels.append((lo, hi, polys))
+            degree = max([0] + [max(mono) for g in incs for mono in g.terms])
+            self._column_floats = max(self._column_floats,
+                                      (degree + 1) * len(inputs),
+                                      *polys.coeffs.shape)
+            lo = hi
 
     def _flow_batch(self, x: np.ndarray, controls: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray]:
         """Endpoints (B, n) and d(endpoint)/d(controls) (B, n, S*m).
 
-        ``controls`` is (B, S, m), the time-1 controls of each segment; the
-        control Jacobian chains the per-segment Jacobians backwards.
+        ``controls`` is (B, S, m), the time-1 controls of each segment.  In
+        increasing weight, each level's increments are evaluated once at
+        all (member, segment) points, when the lower levels' coordinates
+        along the path are known, and prefix sums over the segments give
+        the level's own.  The control Jacobian is one adjoint sweep from
+        the top level down.  Members go in blocks that keep every array of
+        the sweep under _FLOW_BLOCK_FLOATS floats.
         """
+        B, S = controls.shape[:2]
+        xp = x[self._perm]
+        sums = np.tri(S, S, -1)   # [s, u] = 1 for u < s
+        step = max(1, _FLOW_BLOCK_FLOATS // (self._column_floats * S))
+        end = np.empty((B, self.n))
+        J = np.empty((B, self.n, S * self.m))
+        for lo in range(0, B, step):
+            self._flow_block(xp, controls[lo:lo + step], sums,
+                             end[lo:lo + step], J[lo:lo + step])
+        return end, J
+
+    def _flow_block(self, xp: np.ndarray, controls: np.ndarray,
+                    sums: np.ndarray, end: np.ndarray, J: np.ndarray) -> None:
+        """_flow_batch for one block of members, written to end and J."""
         n, m = self.n, self.m
         B, S = controls.shape[:2]
-        pts = np.empty((n + m, B))
-        pts[:n] = np.asarray(x)[:, None]
-        jx, ja = [], []
-        for s in range(S):
-            pts[n:] = controls[:, s].T
-            out = self._flow(pts)
-            pts[:n] = out[:n]
-            jx.append(out[n:n + n * n].T.reshape(B, n, n))
-            ja.append(out[n + n * n:].T.reshape(B, n, m))
-        J = np.empty((B, n, S, m))
-        J[:, :, -1] = ja[-1]
-        chain = jx[-1]
-        for s in reversed(range(S - 1)):
-            J[:, :, s] = chain @ ja[s]
-            chain = chain @ jx[s]
-        return pts[:n].T, J.reshape(B, n, S * m)
+        # the controls, then the permuted coordinates at each segment's start
+        pts = np.empty((m + n, S, B))
+        pts[:m] = controls.transpose(2, 1, 0)
+        last, grads = [], []   # per level: the last segment's increments
+        for lo, hi, polys in self._levels:
+            k = hi - lo
+            out = polys(pts[:m + lo].reshape(m + lo, S * B)).reshape(-1, S, B)
+            np.matmul(sums, out[:k], out=pts[m + lo:m + hi])
+            pts[m + lo:m + hi] += xp[lo:hi, None, None]
+            last.append(out[:k, -1])
+            grads.append(out[k:].reshape(k, m + lo, S, B))
+        end[:, self._perm] = (pts[m:, -1] + np.concatenate(last)).T
+        # The adjoint d(endpoint_i)/d(coordinate c after segment s), both
+        # permuted, is the identity plus the sum over later segments u of
+        # acc[i, m + c, u] = Sum_p adj[i, p, u] dg_p/dx_c(u), over the
+        # coordinates p of higher levels: the identity itself on the top
+        # level.  acc[i, j, s] = Sum_p adj[i, p, s] dg_p/da_j(s), over all
+        # p, is d(endpoint_i)/d(a_j at segment s).  Rows i below the level
+        # of c vanish.
+        later = sums.T   # [s, u] = 1 for u > s
+        acc = np.zeros((n, m + n, S, B))
+        lo = self._levels[-1][0]
+        acc[lo:, :m + lo] = grads[-1]
+        for (lo, hi, _), grad in zip(reversed(self._levels[:-1]),
+                                     reversed(grads[:-1])):
+            adj = later @ acc[lo:, m + lo:m + hi]
+            for r in range(hi - lo):
+                adj[r, r] += 1.0
+                acc[lo:, :m + lo] += adj[:, r, None] * grad[r]
+        J.reshape(B, n, S, m)[:, self._perm] = \
+            acc[:, :m].transpose(3, 0, 2, 1)
 
     # -- feasibility and distance ----------------------------------------------
 
@@ -247,61 +339,74 @@ class MetricSpace:
             u[:, 1:] = gen.uniform(-1.0, 1.0, (T, K - 1, S * m))
         u = u.reshape(T * K, S * m)
         target = np.repeat(ys, K, axis=0)
-        start = np.tile(np.arange(K), T)
-        owner = np.repeat(np.arange(T), K)
 
-        def residual(u, live):
+        def residual(u, target):
             p, J = self._flow_batch(xv, (u * hi).reshape(-1, S, m))
-            r = p - target[live]
+            r = p - target
             return r, np.einsum("bi,bi->b", r, r), J * hi
 
-        # member state; `live` holds the global indices of running members
+        # member state, of the running members only; `live` holds their
+        # global indices, t * K + k for start k of target t
         live = np.arange(T * K)
-        r, f, J = residual(u, live)
+        r, f, J = residual(u, target)
         lam = np.full(len(live), _DAMPING_START)
-        history = [f]
+        # f of the last _STALL_WINDOW + 1 iterations, iteration i in row
+        # i % rows
+        rows = _STALL_WINDOW + 1
+        history = np.empty((rows, len(live)))
         eye = np.eye(n)
         final_u = np.empty_like(u)
         final_f = np.empty(T * K)
         won = np.full(T, K)   # first successful start per target
         for it in range(cfg.maxiter + 1):
+            history[it % rows] = f
             done = f <= reach * reach
-            np.minimum.at(won, owner[live[done]], start[live[done]])
-            done |= (lam > _DAMPING_CAP) | (it == cfg.maxiter)
+            if done.any():
+                # a target is won by its first start to reach it; the later
+                # starts stop (all earlier wins stopped theirs already)
+                owner, start = np.divmod(live, K)
+                np.minimum.at(won, owner[done], start[done])
+                done |= start >= won[owner]
+            done |= lam > _DAMPING_CAP
             if it >= _STALL_WINDOW:
-                done |= f > _STALL_FACTOR * history[-_STALL_WINDOW - 1]
-            done |= start[live] >= won[owner[live]]
+                done |= f > _STALL_FACTOR * history[(it + 1) % rows]
+            if it == cfg.maxiter:
+                done[:] = True
             if done.any():
                 final_u[live[done]] = u[done]
                 final_f[live[done]] = f[done]
                 keep = ~done
                 if not keep.any():
                     break
-                live, u, r, f, J, lam = (a[keep] for a in (live, u, r, f, J, lam))
-                history = [h[keep] for h in history[-_STALL_WINDOW:]]
+                live, u, r, f, J, lam, target = (
+                    a[keep] for a in (live, u, r, f, J, lam, target))
+                history = history[:, keep]
             # the floor keeps the n x n solve regular where J vanishes
             damping = lam * np.maximum(np.einsum("bij,bij->b", J, J) / n,
                                        1e-200)
-            free = np.ones(u.shape, bool)
+            ridge = damping[:, None, None] * eye
+            rhs = -r[..., None]
+            # the controls at their bound, zero elsewhere: a control steps
+            # outwards where its step has the same sign.  A frozen control's
+            # column of Jf is zero, so its step is zero from then on.
+            bound = u * (np.abs(u) >= 1.0)
             Jf = J
             for _ in range(_ACTIVE_SET_PASSES):
-                A = Jf @ Jf.transpose(0, 2, 1) + damping[:, None, None] * eye
-                w = np.linalg.solve(A, r[..., None])
-                step = -(Jf.transpose(0, 2, 1) @ w)[..., 0]
-                outward = free & (np.abs(u) >= 1.0) & (step * u > 0)
+                A = Jf @ Jf.transpose(0, 2, 1) + ridge
+                w = np.linalg.solve(A, rhs)
+                step = (Jf.transpose(0, 2, 1) @ w)[..., 0]
+                outward = bound * step > 0
                 if not outward.any():
                     break
-                free &= ~outward
-                Jf = J * free[:, None, :]
+                Jf = Jf * ~outward[:, None, :]
             trial = np.clip(u + step, -1.0, 1.0)
-            r_t, f_t, J_t = residual(trial, live)
+            r_t, f_t, J_t = residual(trial, target)
             better = f_t < f
             u = np.where(better[:, None], trial, u)
             r = np.where(better[:, None], r_t, r)
             J = np.where(better[:, None, None], J_t, J)
             f = np.where(better, f_t, f)
             lam = np.where(better, lam / _DAMPING_DOWN, lam * _DAMPING_UP)
-            history.append(f)
         ok = won < K
         pick = np.where(ok, won, np.argmin(final_f.reshape(T, K), axis=1))
         return FeasibleBatch(int(ok.sum()), ok,
@@ -321,6 +426,8 @@ class MetricSpace:
         """
         cfg = self.config
         tol = _checked_tol(tol if tol is not None else cfg.tol)
+        _checked_point("x", x, self.n)
+        _checked_point("y", y, self.n)
         if all(float(a) == float(b) for a, b in zip(x, y)):
             return DistanceResult(0.0, 0.0, ControlPath((), 0.0), seed)
         rng = random.Random(seed)
@@ -430,8 +537,11 @@ class MetricSpace:
         All samples are drawn first; their membership comes from one batched
         feasibility solve at scale r, with reach membership_relax * tol * r.
         """
-        if r <= 0:
-            raise ValueError("radius must be positive")
+        _checked_point("x", x, self.n)
+        if not (math.isfinite(r) and r > 0):
+            raise ValueError(f"r must be positive and finite, got {r}")
+        if n_samples < 1:
+            raise ValueError(f"n_samples must be at least 1, got {n_samples}")
         cfg = self.config
         rng = random.Random(seed)
         B = self.box_bounds(x, r)

@@ -2,14 +2,15 @@
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rockland.fields import PolyVectorField
-from rockland.lifting import FLOW_ITERATION_CAP, flow_map
+from flow_reference import SegmentChainFlow, flow_maps
+from rockland.fields import DilationFamily, PolyVectorField
 from rockland.metric import (
     ControlPath,
     DistanceResult,
@@ -20,7 +21,10 @@ from rockland.metric import (
     volume_interpolator,
     volume_slope,
 )
-from rockland.poly import Poly, embed, poly_diff, poly_eval
+from rockland.model import load_model
+from rockland.poly import Poly, depends_on, poly_diff, poly_eval
+
+MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
 
 @pytest.fixture(params=["grushin", "three_var_step5"])
@@ -138,6 +142,27 @@ def test_distance_rejects_bad_tol(grushin_metric, tol):
         grushin_metric.box_lower([0.0, 0.0], [1.0, 0.0], 1.0, tol)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda s: s.distance([math.nan, 0.0], [0.0, 0.0]), r"x .*\[nan, 0\.0\]"),
+    (lambda s: s.distance([math.inf, 0.0], [0.0, 0.0]), r"x .*\[inf, 0\.0\]"),
+    (lambda s: s.distance([0.0, 0.0], [1.0]), r"y .*\[1\.0\]"),
+    (lambda s: s.distance([0.0, 0.0, 0.0], [1.0, 0.0]), r"x .*\[0\.0, 0\.0, 0\.0\]"),
+    (lambda s: s.ball_volume([math.nan, 0.0], 1.0), r"x .*\[nan, 0\.0\]"),
+    (lambda s: s.ball_volume([0.0], 1.0), r"x .*\[0\.0\]"),
+    (lambda s: s.ball_volume([0.0, 0.0], math.nan), r"r .*nan"),
+    (lambda s: s.ball_volume([0.0, 0.0], math.inf), r"r .*inf"),
+    (lambda s: s.ball_volume([0.0, 0.0], 1.0, n_samples=0), r"n_samples .*0"),
+], ids=["distance-x-nan", "distance-x-inf", "distance-y-short",
+        "distance-x-long", "volume-x-nan", "volume-x-short", "volume-r-nan",
+        "volume-r-inf", "volume-no-samples"])
+def test_metric_rejects_bad_points(grushin_metric, call, message):
+    """Points need n finite coordinates, a radius must be positive and
+    finite, and a volume at least one sample; the error names the argument
+    and its value."""
+    with pytest.raises(ValueError, match=message):
+        call(grushin_metric)
+
+
 def test_distance_seeded_reproducible(grushin_metric):
     a = grushin_metric.distance([0.1, 0.5], [-0.8, 0.2], seed=5)
     b = grushin_metric.distance([0.1, 0.5], [-0.8, 0.2], seed=5)
@@ -146,53 +171,153 @@ def test_distance_seeded_reproducible(grushin_metric):
 
 # -- compiled flow and the batched feasibility solve -----------------------------
 
+@pytest.fixture(scope="module")
+def unsorted_weights():
+    """sigma = (1, 2, 1): X1 = d1, X2 = x1*d2 + d3; x3 has the lowest
+    weight and the last index."""
+    delta = DilationFamily((1, 2, 1))
+    z = Poly.zero(3)
+    gens = [PolyVectorField(3, (Poly.const(3, 1), z, z)),
+            PolyVectorField(3, (z, Poly.var(3, 0), Poly.const(3, 1)))]
+    return {"gens": gens, "delta": delta}
+
+
+def bundled_spaces():
+    """(name, metric space) of every bundled model."""
+    for name in sorted(os.listdir(MODELS)):
+        model = load_model(os.path.join(MODELS, name))
+        yield name, MetricSpace(model.fields, model.delta)
+
+
 def test_compiled_flow_matches_exact(system):
-    """Flow and Jacobians against endpoint() and exact poly_diff values."""
+    """One segment: endpoint and control Jacobian against endpoint() and
+    exact poly_diff values, and every level's increments and derivatives
+    against the exact time-1 flow."""
     sysd, space = system
     n, m = space.n, space.m
-    nv = n + m
-    V = PolyVectorField.zero(nv)
-    for j, X in enumerate(space.fields):
-        coeffs = tuple(embed(c, nv) * Poly.var(nv, n + j) for c in X.coeffs)
-        V = V.add(PolyVectorField(nv, coeffs + (Poly.zero(nv),) * m))
-    maps = flow_map(V, range(n), FLOW_ITERATION_CAP)
+    maps = flow_maps(space.fields)
     rng = random.Random(5)
-    pts = [[Fraction(rng.randint(-64, 64), 32) for _ in range(nv)]
+    pts = [[Fraction(rng.randint(-64, 64), 32) for _ in range(n + m)]
            for _ in range(6)]
-    out = space._flow(np.array(pts, dtype=float).T)
-    for pt, row in zip(pts, out.T):
+
+    def close(got, want):
+        assert abs(got - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
+
+    for pt in pts:
         x, a = pt[:n], pt[n:]
+        p, J = space._flow_batch(np.array(x, float),
+                                 np.array(a, float).reshape(1, 1, m))
         exact = endpoint(x, ControlPath(((1, tuple(a)),), 1.0), sysd["gens"])
-        jx = [poly_eval(poly_diff(p, k), pt) for p in maps for k in range(n)]
-        ja = [poly_eval(poly_diff(p, n + j), pt) for p in maps for j in range(m)]
-        for got, want in zip(row, exact + jx + ja):
-            assert abs(got - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
+        for i in range(n):
+            close(p[0, i], exact[i])
+            for j in range(m):
+                close(J[0, i, j], poly_eval(poly_diff(maps[i], n + j), pt))
+        perm = np.arange(n)[space._perm]
+        for lo, hi, polys in space._levels:
+            inputs = list(range(n, n + m)) + list(perm[:lo])
+            out = polys(np.array([[float(pt[k])] for k in inputs]))[:, 0]
+            incs = [maps[i] - Poly.var(n + m, i) for i in perm[lo:hi]]
+            want = [poly_eval(g, pt) for g in incs] + [
+                poly_eval(poly_diff(g, k), pt) for g in incs for k in inputs]
+            assert len(out) == len(want)
+            for got, w in zip(out, want):
+                close(got, w)
 
 
-def test_flow_batch_chains_segment_jacobians(system):
-    """The control Jacobian of a multi-segment path, against central
-    differences of the exact endpoint."""
-    sysd, space = system
-    n, m, S = space.n, space.m, 3
+@pytest.mark.parametrize("name", ["grushin", "three_var_step5",
+                                  "unsorted_weights"])
+def test_flow_batch_chains_segment_jacobians(name, request):
+    """The endpoints and control Jacobians of multi-segment paths of
+    several members, against the exact endpoint and its exact central
+    differences."""
+    sysd = request.getfixturevalue(name)
+    space = MetricSpace(sysd["gens"], sysd["delta"])
+    n, m = space.n, space.m
+    maps = flow_maps(space.fields)
     rng = random.Random(6)
-    x = [Fraction(rng.randint(-32, 32), 32) for _ in range(n)]
-    ctr = [Fraction(rng.randint(-32, 32), 64) for _ in range(S * m)]
-    p, J = space._flow_batch(np.array(x, float),
-                             np.array(ctr, float).reshape(1, S, m))
+    for S, B in ((1, 3), (4, 3), (16, 2)):
+        x = [Fraction(rng.randint(-32, 32), 32) for _ in range(n)]
+        ctr = [[Fraction(rng.randint(-32, 32), 16 * S) for _ in range(S * m)]
+               for _ in range(B)]
+        p, J = space._flow_batch(np.array(x, float),
+                                 np.array(ctr, float).reshape(B, S, m))
 
-    def end(c):
-        segs = tuple((Fraction(1, S), tuple(v * S for v in c[s * m:(s + 1) * m]))
-                     for s in range(S))
-        return endpoint(x, ControlPath(segs, 1.0), sysd["gens"])
+        def end(c):
+            cur = list(x)
+            for s in range(S):
+                pt = cur + list(c[s * m:(s + 1) * m])
+                cur = [poly_eval(f, pt) for f in maps]
+            return cur
 
-    base = end(ctr)
-    assert np.allclose(p[0], [float(v) for v in base], rtol=0, atol=1e-12)
-    h = Fraction(1, 10 ** 4)
-    for k in range(S * m):
-        up = end([v + h * (i == k) for i, v in enumerate(ctr)])
-        dn = end([v - h * (i == k) for i, v in enumerate(ctr)])
-        fd = [float((a - b) / (2 * h)) for a, b in zip(up, dn)]
-        assert np.allclose(J[0, :, k], fd, rtol=0, atol=1e-6)
+        for b, c in enumerate(ctr):
+            segs = tuple((Fraction(1, S), tuple(v * S for v in c[s * m:(s + 1) * m]))
+                         for s in range(S))
+            base = endpoint(x, ControlPath(segs, 1.0), sysd["gens"])
+            assert base == end(c)
+            assert np.allclose(p[b], [float(v) for v in base], rtol=0, atol=1e-12)
+            h = Fraction(1, 10 ** 4)
+            for k in range(S * m):
+                up = end([v + h * (i == k) for i, v in enumerate(c)])
+                dn = end([v - h * (i == k) for i, v in enumerate(c)])
+                fd = [float((a - b) / (2 * h)) for a, b in zip(up, dn)]
+                assert np.allclose(J[b, :, k], fd, rtol=0, atol=1e-6)
+
+
+def test_flow_levels_read_only_lower_weights(unsorted_weights):
+    """Every level's increments, on every bundled model and on a system
+    whose weights are not in index order, read no coordinate of their own
+    weight or above, and the compiled levels take exactly the controls and
+    the lower-weight coordinates."""
+    spaces = list(bundled_spaces()) + [
+        ("unsorted", MetricSpace(unsorted_weights["gens"],
+                                 unsorted_weights["delta"]))]
+    assert len(spaces) == 8
+    for name, space in spaces:
+        n, m, sigma = space.n, space.m, space.delta.sigma
+        maps = flow_maps(space.fields)
+        perm = list(np.arange(n)[space._perm])
+        assert sorted(perm) == list(range(n))
+        assert [sigma[i] for i in perm] == sorted(sigma)
+        assert space._levels[0][0] == 0 and space._levels[-1][1] == n
+        for (lo, hi, polys), nxt in zip(space._levels, space._levels[1:] + [(n,)]):
+            assert nxt[0] == hi
+            weight = sigma[perm[lo]]
+            assert {sigma[i] for i in perm[lo:hi]} == {weight}
+            assert all(sigma[i] < weight for i in perm[:lo])
+            assert polys.nvars == m + lo
+            for i in perm[lo:hi]:
+                g = maps[i] - Poly.var(n + m, i)
+                assert not any(depends_on(g, k) for k in range(n)
+                               if sigma[k] >= weight), (name, i)
+
+
+def test_flow_levels_reject_ungraded_field():
+    """A field that only declares its degree, and whose flow moves x1 by
+    the same-weight x2, has no level structure."""
+    z = Poly.zero(2)
+    X = PolyVectorField(2, (Poly.var(2, 1), z), declared_degree=1)
+    Y = PolyVectorField(2, (Poly.const(2, 1), z))
+    with pytest.raises(ValueError, match="increment of x1 reads a "
+                                         "coordinate of weight 1 or more"):
+        MetricSpace([X, Y], DilationFamily((1, 1)))
+
+
+def test_flow_batch_matches_segment_chain():
+    """Endpoints and control Jacobians agree with the segment-by-segment
+    reference on every bundled model, for several sizes and segments."""
+    rng = np.random.default_rng(12)
+    for name, space in bundled_spaces():
+        reference = SegmentChainFlow(space.fields)
+        for B in (1, 10, 320):
+            for S in (4, 8, 16):
+                x = rng.uniform(-1, 1, space.n)
+                ctr = rng.uniform(-1, 1, (B, S, space.m)) / S
+                p, J = space._flow_batch(x, ctr)
+                p0, J0 = reference(x, ctr)
+                for got, want in ((p, p0), (J, J0)):
+                    assert got.shape == want.shape
+                    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+                    assert err.max() <= 1e-13, (name, B, S, err.max())
 
 
 def test_feasible_reports_only_genuine_paths(system):
