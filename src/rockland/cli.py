@@ -9,6 +9,7 @@ one-line status per check, and exits 0 iff every check passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import csv as _csv
 import json
@@ -466,6 +467,9 @@ def cmd_report(model: ModelSpec, args, rep: Report):
     return header, rows
 
 
+# the commands whose function returns no CSV table
+NO_CSV_TABLE = ("lift", "heat")
+
 COMMANDS = {
     "analyze": cmd_analyze,
     "lift": cmd_lift,
@@ -478,7 +482,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rockland",
         description="Analysis of dilation-homogeneous vector-field systems: "
@@ -525,6 +531,21 @@ def _bad_flag(args) -> Optional[str]:
     return None
 
 
+def _bad_path(args) -> Optional[str]:
+    """Why --json or --csv cannot be written, or None when both can."""
+    if args.csv and args.command in NO_CSV_TABLE:
+        return f"--csv {args.csv}: the {args.command} command has no CSV table"
+    for flag, path in (("--json", args.json), ("--csv", args.csv)):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            return f"{flag} {path}: is a directory"
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            return f"{flag} {path}: directory {directory} does not exist"
+    return None
+
+
 def _attach_at_values(argv: Sequence[str]) -> List[str]:
     """Each '--at' joined with a following value that starts with a negative
     number, as '--at=VALUE': argparse would take the value for an option."""
@@ -541,7 +562,7 @@ def _attach_at_values(argv: Sequence[str]) -> List[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(
         _attach_at_values(sys.argv[1:] if argv is None else argv))
-    bad = _bad_flag(args)
+    bad = _bad_flag(args) or _bad_path(args)
     if bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
@@ -549,6 +570,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         model = load_model(args.model)
     except FileNotFoundError:
         print(f"error: model file not found: {args.model}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: --model {args.model}: {exc.strerror}", file=sys.stderr)
         return 2
     except ModelParseError as exc:
         print(f"error: {args.model}: {exc}", file=sys.stderr)

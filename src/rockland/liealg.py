@@ -35,7 +35,11 @@ def _flatten(X: PolyVectorField) -> Dict[Key, Fraction]:
 
 
 class _RationalSpan:
-    """Incremental row-reduced span of exact coefficient vectors."""
+    """Incremental row-reduced span of exact coefficient vectors.
+
+    A vector maps keys to nonzero Fractions; the keys of one span must be
+    mutually comparable (the least key of a row is its pivot).
+    """
 
     def __init__(self) -> None:
         self.rows: List[Dict[Key, Fraction]] = []
@@ -57,9 +61,6 @@ class _RationalSpan:
                     else:
                         out.pop(k, None)
         return out
-
-    def contains(self, vec: Dict[Key, Fraction]) -> bool:
-        return not self.reduce(vec)
 
     def insert(self, vec: Dict[Key, Fraction]) -> bool:
         """Add vec to the span; False if it was already in the span."""
@@ -231,20 +232,40 @@ def generate_lie_algebra(fields: Sequence[PolyVectorField],
     return basis, sc
 
 
+def _adjoint(sc: StructureConstants) -> List[Dict[int, Dict[int, Fraction]]]:
+    """ad[a][b]: the nonzero coordinates of [W_a, W_b], for every a != b."""
+    ad: List[Dict[int, Dict[int, Fraction]]] = [{} for _ in range(sc.N)]
+    for (i, j), col in sc.entry_map().items():
+        ad[i][j] = col
+        ad[j][i] = {k: -c for k, c in col.items()}
+    return ad
+
+
+def _ad_apply(ad_a: Dict[int, Dict[int, Fraction]],
+              v: Dict[int, Fraction]) -> Dict[int, Fraction]:
+    """Coordinates of [W_a, v] for v given by its nonzero coordinates."""
+    out: Dict[int, Fraction] = {}
+    for b, vb in v.items():
+        for k, c in ad_a.get(b, {}).items():
+            nv = out.get(k, 0) + vb * c
+            if nv:
+                out[k] = nv
+            else:
+                out.pop(k, None)
+    return out
+
+
 def _check_jacobi(sc: StructureConstants) -> None:
+    ad = _adjoint(sc)
     N = sc.N
-    basis_vectors = [[Fraction(int(i == k)) for i in range(N)] for k in range(N)]
     for a in range(N):
         for b in range(a + 1, N):
             for c in range(b + 1, N):
-                ea, eb, ec = basis_vectors[a], basis_vectors[b], basis_vectors[c]
-                total = [
-                    x + y + z for x, y, z in zip(
-                        sc.bracket(ea, sc.bracket(eb, ec)),
-                        sc.bracket(eb, sc.bracket(ec, ea)),
-                        sc.bracket(ec, sc.bracket(ea, eb)))
-                ]
-                if any(v != 0 for v in total):
+                total: Dict[int, Fraction] = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for k, v in _ad_apply(ad[x], ad[y].get(z, {})).items():
+                        total[k] = total.get(k, 0) + v
+                if any(total.values()):
                     raise ValueError("Jacobi identity fails; structure constants corrupt")
 
 
@@ -261,18 +282,16 @@ def hormander_rank(basis: LieBasis, point: Sequence) -> int:
 
 def nilpotency_step(sc: StructureConstants, degrees: Sequence[int]) -> int:
     """Length of the lower central series; asserted <= max degree."""
-    N = sc.N
-    unit = [[Fraction(int(i == k)) for i in range(N)] for k in range(N)]
-    current = list(unit)
+    ad = _adjoint(sc)
+    current: List[Dict[int, Fraction]] = [{k: Fraction(1)} for k in range(sc.N)]
     step = 1
     while True:
         span = _RationalSpan()
         nxt = []
-        for e in unit:
+        for ad_a in ad:
             for v in current:
-                w = sc.bracket(e, v)
-                vec = {(i, ()): c for i, c in enumerate(w) if c != 0}
-                if vec and span.insert(vec):
+                w = _ad_apply(ad_a, v)
+                if w and span.insert(w):
                     nxt.append(w)
         if not nxt:
             break

@@ -43,8 +43,8 @@ from .fields import (
     operator_transpose,
 )
 from .liealg import LieBasis, StructureConstants, hormander_rank, nilpotency_step
-from .poly import (Poly, embed, poly_diff, poly_eval, substitute,
-                   substitute_many, to_string)
+from .poly import (Poly, embed, is_graded_homogeneous, poly_diff, poly_eval,
+                   substitute, substitute_many, to_string)
 
 MAX_BCH_STEP = 6
 
@@ -230,13 +230,18 @@ def invert_graded_map(maps: Sequence[Poly], in_degrees: Sequence[int],
     zvars = Poly.variables(N)
 
     def apply_ainv(vec: Sequence[Poly]) -> List[Poly]:
-        return [sum((Ainv[i][k] * vec[k] for k in range(N)), start=zero) for i in range(N)]
+        return [sum((a * vec[k] for k, a in enumerate(row) if a), start=zero)
+                for row in Ainv]
 
     cur = apply_ainv(zvars)
-    rounds = max(out_degrees) + 2
-    for _ in range(rounds):
-        hx = [substitute(hi, cur) if not hi.is_zero() else zero for hi in h]
-        cur = apply_ainv([zvars[i] - hx[i] for i in range(N)])
+    for _ in range(max(out_degrees) + 2):
+        nxt = apply_ainv([z - hz for z, hz in zip(zvars, substitute_many(h, cur))])
+        # an iterate equal to the last, terms in the same order, repeats
+        # for every remaining round
+        if all(list(p.terms.items()) == list(q.terms.items())
+               for p, q in zip(nxt, cur)):
+            break
+        cur = nxt
     if compose_map(list(maps), cur) != list(zvars) or compose_map(cur, list(maps)) != list(zvars):
         raise ValueError("graded map inversion failed to verify; map is not unipotent-graded")
     return cur
@@ -308,9 +313,6 @@ def build_group(basis: LieBasis, sc: StructureConstants,
 
 def _verify_group(g: GroupLaw) -> None:
     N = g.N
-    two = Poly.variables(2 * N)
-    a_vars, b_vars = list(two[:N]), list(two[N:])
-
     # identity laws
     idvars = Poly.variables(N)
     zeros = [Poly.zero(N)] * N
@@ -329,14 +331,10 @@ def _verify_group(g: GroupLaw) -> None:
     bc = compose_map(g.mult, b3 + c3)
     if compose_map(g.mult, ab + c3) != compose_map(g.mult, a3 + bc):
         raise ValueError("group law fails associativity")
-    # dilation automorphism identity in (lambda, a, b)
-    ext = Poly.variables(2 * N + 1)
-    lam, ae, be = ext[0], list(ext[1:N + 1]), list(ext[N + 1:])
-    Da = [lam ** g.degrees[i] * ae[i] for i in range(N)]
-    Db = [lam ** g.degrees[i] * be[i] for i in range(N)]
-    lhs = compose_map(g.mult, Da + Db)
-    rhs = [lam ** g.degrees[i] * p for i, p in enumerate(compose_map(g.mult, ae + be))]
-    if lhs != rhs:
+    # dilation automorphism: mult(delta a, delta b) = delta mult(a, b) holds
+    # exactly when every monomial of mult_i has weighted degree d_i in (a, b)
+    if not all(is_graded_homogeneous(p, g.degrees * 2, d)
+               for p, d in zip(g.mult, g.degrees)):
         raise ValueError("dilations are not group automorphisms; grading bug")
     # left-translation Jacobian: graded-triangular with unit diagonal, so its
     # determinant is identically 1 (Lebesgue measure is Haar)

@@ -51,7 +51,9 @@ def _accumulate(out: Dict[Exponent, Fraction],
 class Poly:
     """Immutable sparse polynomial with Fraction coefficients."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    # _float_terms, set on the first float evaluation, holds each term as
+    # (float coefficient, ((variable, exponent), ...) of its nonzero exponents)
+    __slots__ = ("nvars", "terms", "_hash", "_float_terms")
 
     nvars: int
     terms: Dict[Exponent, Fraction]
@@ -202,6 +204,7 @@ class Poly:
 _set_nvars = Poly.nvars.__set__
 _set_terms = Poly.terms.__set__
 _set_hash = Poly._hash.__set__
+_set_float_terms = Poly._float_terms.__set__
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -230,13 +233,26 @@ def poly_eval(a: Poly, point: Sequence) -> object:
     """
     if len(point) != a.nvars:
         raise ValueError(f"point length {len(point)} != nvars {a.nvars}")
-    exact = all(isinstance(v, (int, Fraction)) for v in point)
-    total = Fraction(0) if exact else 0.0
-    for mono, coeff in a.terms.items():
-        term = coeff if exact else float(coeff)
-        for e, v in zip(mono, point):
-            if e:
-                term = term * v ** e
+    if all(isinstance(v, (int, Fraction)) for v in point):
+        total = Fraction(0)
+        for mono, coeff in a.terms.items():
+            term = coeff
+            for e, v in zip(mono, point):
+                if e:
+                    term = term * v ** e
+            total = total + term
+        return total
+    try:
+        terms = a._float_terms
+    except AttributeError:
+        terms = tuple((float(coeff), tuple((i, e) for i, e in enumerate(mono) if e))
+                      for mono, coeff in a.terms.items())
+        _set_float_terms(a, terms)
+    total = 0.0
+    for coeff, factors in terms:
+        term = coeff
+        for i, e in factors:
+            term = term * point[i] ** e
         total = total + term
     return total
 

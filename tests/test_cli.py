@@ -180,12 +180,17 @@ GOLDEN_RESULTS = os.path.join(os.path.dirname(__file__), "data",
 @pytest.mark.parametrize("name", ["chain_r5", "three_var_step5"])
 def test_report_results_match_golden(tmp_path, name):
     """The exact group law, theta, its inverse, the lifted fields and the
-    shear stay the strings committed in tests/data/report_results.json."""
+    shear stay the strings committed in tests/data/report_results.json, and
+    each check keeps its name, status, residual and tolerance; the float
+    group-axiom residual is held bitwise."""
     out = tmp_path / "rep.json"
     assert run(["report", "--model", model(name), "--json", str(out)]) == 0
     with open(GOLDEN_RESULTS, encoding="utf-8") as fh:
         golden = json.load(fh)[name]
-    assert json.loads(out.read_text())["results"] == golden
+    doc = json.loads(out.read_text())
+    assert doc["results"] == golden["results"]
+    assert [{k: c[k] for k in ("name", "status", "residual", "tolerance")}
+            for c in doc["checks"]] == golden["checks"]
 
 
 def test_report_skips_verify_when_gate_fails(tmp_path):
@@ -298,3 +303,45 @@ def test_at_value_with_leading_minus(command, form):
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert "[pass]" in out.stdout
+
+
+def test_repeated_main_matches_fresh_processes(tmp_path):
+    """Two reports in one process, with different --at and --seed, write the
+    bytes that two fresh processes write: the parser, built once per
+    process, carries nothing from one call to the next."""
+    runs = [["report", "--model", model("grushin"), "--seed", "3",
+             "--at", "0.9,0.3;-0.4,0.6"],
+            ["report", "--model", model("grushin"), "--seed", "5"]]
+    for k, args in enumerate(runs):
+        assert run(args + ["--json", str(tmp_path / f"same{k}.json")]) == 0
+    for k, args in enumerate(runs):
+        subprocess.run(
+            [sys.executable, "-m", "rockland.cli", *args, "--json",
+             str(tmp_path / f"fresh{k}.json")], env=_subprocess_env(),
+            check=True, capture_output=True, timeout=300)
+    for k in range(len(runs)):
+        assert (tmp_path / f"same{k}.json").read_bytes() == \
+            (tmp_path / f"fresh{k}.json").read_bytes()
+
+
+@pytest.mark.parametrize("command, flag, target", [
+    ("report", "--json", "missing/r.json"), ("analyze", "--csv", "missing/r.csv"),
+    ("analyze", "--json", "."), ("heat", "--csv", "h.csv"),
+    ("lift", "--csv", "l.csv"), ("analyze", "--model", "models")])
+def test_unusable_path_exit_code(tmp_path, command, flag, target):
+    """An output path whose directory is missing or that is a directory, a
+    CSV table asked of a command that has none, and a model path that is a
+    directory exit 2 naming the flag and the path, before any work (in a
+    subprocess, because they used to end in a traceback or a silent 0)."""
+    (tmp_path / "models").mkdir()
+    path = str(tmp_path / target)
+    args = ["--model", model("grushin")] if flag != "--model" else []
+    out = subprocess.run(
+        [sys.executable, "-m", "rockland.cli", command, *args, flag, path],
+        env=_subprocess_env(), cwd=tmp_path, capture_output=True, text=True,
+        timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert f"{flag} {path}" in out.stderr, out.stderr
+    assert "Traceback" not in out.stderr
+    assert not out.stdout
+    assert sorted(os.listdir(tmp_path)) == ["models"]

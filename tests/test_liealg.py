@@ -1,13 +1,20 @@
 """Bracket closure, structure constants and dimensional invariants."""
 
+import glob
 import json
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from liealg_reference import check_jacobi_dense, nilpotency_step_dense
 from rockland.fields import DilationFamily, PolyVectorField, commutator
-from rockland.liealg import generate_lie_algebra, hormander_rank, nilpotency_step
+from rockland.liealg import (StructureConstants, _check_jacobi, generate_lie_algebra,
+                             hormander_rank, nilpotency_step)
+from rockland.lifting import _invert_rational_matrix
+from rockland.model import load_model, parse_model
 from rockland.poly import Poly
 
 
@@ -94,3 +101,112 @@ def test_step5_algebra_shape(three_var_step5):
 def test_json_serialization(grushin):
     rows = json.loads(grushin["sc"].to_json())
     assert rows == [{"i": 1, "j": 2, "k": 3, "c": "1"}]
+
+
+# -- the sparse Jacobi check and step against the dense reference ----------------
+
+MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def _catalogue_texts(seed, passes):
+    """Model texts of seeded passes over the symbolic benchmark catalogue."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        from workloads import CATALOGUE, catalogue_model
+    finally:
+        sys.path.remove(PERFBENCH)
+    rng = random.Random(seed)
+    return [catalogue_model(rng, family, param)[0]
+            for _ in range(passes) for family, param in CATALOGUE]
+
+
+def _algebras():
+    models = [load_model(p) for p in sorted(glob.glob(os.path.join(MODELS, "*.model")))]
+    models += [parse_model(t) for t in _catalogue_texts(3, 3)]
+    return [generate_lie_algebra(list(m.fields), m.delta) for m in models]
+
+
+def test_nilpotency_step_matches_dense_reference():
+    """On every bundled model and three seeded catalogue passes the step
+    read from the entry map is the dense one, and the dense Jacobi check
+    accepts every table that generate_lie_algebra returned."""
+    algebras = _algebras()
+    assert len(algebras) == 7 + 36
+    for basis, sc in algebras:
+        assert nilpotency_step(sc, basis.degrees) == \
+            nilpotency_step_dense(sc, basis.degrees)
+        check_jacobi_dense(sc)
+
+
+def _doubled(sc):
+    """sc with each one of its structure constants doubled in turn."""
+    for idx, (i, j, k, c) in enumerate(sc.table):
+        table = list(sc.table)
+        table[idx] = (i, j, k, 2 * c)
+        yield StructureConstants(sc.N, tuple(table))
+
+
+def _jacobi_fails(check, sc):
+    try:
+        check(sc)
+    except ValueError as exc:
+        assert "Jacobi identity fails" in str(exc)
+        return True
+    return False
+
+
+def test_corrupted_structure_constant_fails_jacobi(three_var_step5):
+    """Doubling one structure constant breaks the Jacobi identity for four
+    of the five entries of the step-5 table, and the sparse check raises
+    exactly where the dense one does."""
+    bad = list(_doubled(three_var_step5["sc"]))
+    assert [_jacobi_fails(_check_jacobi, sc) for sc in bad] == \
+        [_jacobi_fails(check_jacobi_dense, sc) for sc in bad] == \
+        [True, True, False, True, True]
+
+
+def _free_rank2_step4(mix):
+    """Structure constants of the free nilpotent Lie algebra of rank 2 and
+    step 4 (dimensions 2, 1, 2, 3 by degree), in the basis Y = mix @ X for
+    a graded change of basis mix, so that brackets have several terms."""
+    # [X1,X2]=X3, [X1,X3]=X4, [X2,X3]=X5, [X1,X4]=X6, [X2,X4]=[X1,X5]=X7,
+    # [X2,X5]=X8
+    base = StructureConstants(8, tuple(
+        (i, j, k, Fraction(1)) for i, j, k in
+        ((0, 1, 2), (0, 2, 3), (1, 2, 4), (0, 3, 5), (1, 3, 6), (0, 4, 6),
+         (1, 4, 7))))
+    inv = _invert_rational_matrix([[Fraction(v) for v in row] for row in mix])
+    table = []
+    for i in range(8):
+        for j in range(i + 1, 8):
+            x = base.bracket([Fraction(v) for v in mix[i]],
+                             [Fraction(v) for v in mix[j]])
+            for k in range(8):
+                c = sum(x[m] * inv[m][k] for m in range(8))
+                if c:
+                    table.append((i, j, k, c))
+    return StructureConstants(8, tuple(table))
+
+
+def test_sparse_checks_on_brackets_with_several_terms():
+    """With brackets of several terms, [W_a, v] adds several constants into
+    one coordinate; the step and the Jacobi check still match the dense
+    reference, also under every single doubled constant."""
+    degrees = (1, 1, 2, 3, 3, 4, 4, 4)
+    mix = [[1, 2, 0, 0, 0, 0, 0, 0], [1, -1, 0, 0, 0, 0, 0, 0],
+           [0, 0, 3, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0, 0],
+           [0, 0, 0, 1, -1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 1, 0],
+           [0, 0, 0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1, 0, 1]]
+    sc = _free_rank2_step4(mix)
+    assert max(sum(1 for e in sc.table if e[:2] == ij) for ij in
+               {e[:2] for e in sc.table}) >= 2
+    assert not _jacobi_fails(_check_jacobi, sc)
+    assert not _jacobi_fails(check_jacobi_dense, sc)
+    assert nilpotency_step(sc, degrees) == nilpotency_step_dense(sc, degrees) == 4
+    bad = list(_doubled(sc))
+    fails = [_jacobi_fails(_check_jacobi, b) for b in bad]
+    assert fails == [_jacobi_fails(check_jacobi_dense, b) for b in bad]
+    assert any(fails)
+    for b in bad:
+        assert nilpotency_step(b, degrees) == nilpotency_step_dense(b, degrees)

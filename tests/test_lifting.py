@@ -8,17 +8,22 @@ import pytest
 from rockland.fields import DilationFamily, PolyVectorField, certify_homogeneity
 from rockland.liealg import generate_lie_algebra, hormander_rank
 from rockland.lifting import (
+    GroupLaw,
     HomNorm,
+    _invert_rational_matrix,
+    _verify_group,
     bch_product,
     build_group,
+    compose_map,
     exp_flow,
     hom_norm_eval,
+    invert_graded_map,
     lift_identity_check,
     poly_det,
     saturable_check,
     slice_diffeos,
 )
-from rockland.poly import Poly, poly_eval
+from rockland.poly import Poly, poly_eval, substitute
 
 
 def rational_point(rng, n, lo=-3, hi=3):
@@ -266,3 +271,83 @@ def test_poly_det():
     assert poly_det(mat) == one
     mat2 = [[x, y], [y, x]]
     assert poly_det(mat2) == x * x - y * y
+
+
+# -- group verification and graded inversion -----------------------------------------
+
+def test_group_law_with_wrong_weight_term_rejected(grushin):
+    """Conjugating the Grushin group by phi(a) = (a1, a2, a3 + a1^3) gives
+    a group law with the same identity, inverse and unit-triangular
+    Jacobian, but its third coordinate gains terms of weight 3 in a slot of
+    weight 2, so the dilations are no longer automorphisms."""
+    g = grushin["lifted"].group_w
+    N = g.N
+
+    def phi(v, sign):
+        return v[:2] + [v[2] + sign * v[0] ** 3]
+
+    two = Poly.variables(2 * N)
+    a, b = list(two[:N]), list(two[N:])
+    mult = tuple(phi(compose_map(g.mult, phi(a, 1) + phi(b, 1)), -1))
+    assert mult != g.mult
+    bad = GroupLaw(N, g.degrees, g.step, mult, g.inverse, g.left_fields)
+    with pytest.raises(ValueError, match="dilations are not group automorphisms"):
+        _verify_group(bad)
+    _verify_group(g)
+
+
+def _invert_every_round(maps, in_degrees, out_degrees):
+    """invert_graded_map run for all its rounds with the dense A^-1."""
+    N = len(maps)
+    zero = Poly.zero(N)
+    A = [[Fraction(0)] * N for _ in range(N)]
+    h = []
+    for i, p in enumerate(maps):
+        rest = zero
+        for mono, c in p.terms.items():
+            if sum(mono) == 1:
+                k = mono.index(1)
+                if in_degrees[k] == out_degrees[i]:
+                    A[i][k] = c
+                    continue
+            rest = rest + Poly(N, {mono: c})
+        h.append(rest)
+    Ainv = _invert_rational_matrix(A)
+    zvars = Poly.variables(N)
+
+    def apply_ainv(vec):
+        return [sum((Ainv[i][k] * vec[k] for k in range(N)), start=zero)
+                for i in range(N)]
+
+    cur = apply_ainv(zvars)
+    for _ in range(max(out_degrees) + 2):
+        hx = [substitute(hi, cur) if not hi.is_zero() else zero for hi in h]
+        cur = apply_ainv([zvars[i] - hx[i] for i in range(N)])
+    return cur
+
+
+def test_invert_graded_map_matches_every_round(grushin, three_var_step5):
+    """Stopping at the fixed point returns the polynomials of the full round
+    count, terms in the same order (float evaluation sums in that order);
+    also for a graded map whose linear part is not the identity."""
+    x1, x2, x3 = Poly.variables(3)
+    cases = [(L.theta, L.basis.degrees, L.D_exponents)
+             for L in (grushin["lifted"], three_var_step5["lifted"])]
+    cases.append(([x1 * 2 + x2, x1 - x2, x3 * 3 + x1 * x2 + x1 ** 2 * 5],
+                  (1, 1, 2), (1, 1, 2)))
+    for maps, din, dout in cases:
+        got = invert_graded_map(maps, din, dout)
+        want = _invert_every_round(maps, din, dout)
+        assert [list(p.terms.items()) for p in got] == \
+            [list(p.terms.items()) for p in want]
+        assert compose_map(list(maps), got) == list(Poly.variables(len(maps)))
+
+
+def test_invert_graded_map_rejects_non_unipotent():
+    """x + x^2 in weight 1 has an invertible linear part but no polynomial
+    inverse: no round reaches a fixed point and verification fails."""
+    (x,) = Poly.variables(1)
+    with pytest.raises(ValueError, match="failed to verify"):
+        invert_graded_map([x + x ** 2], (1,), (1,))
+    with pytest.raises(ValueError, match="singular linear part"):
+        invert_graded_map([x ** 2], (1,), (2,))
