@@ -11,11 +11,13 @@ the seed travels with every result record.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .poly import CompiledPolys, Poly, embed, poly_diff
 
 def __getattr__(name: str):
     """``optimize``: scipy.optimize, imported on first access.  Nothing here
-    uses it; perfbench/layers.py's tracer reads it.  ROADMAP item 4 moves the
+    uses it; perfbench/layers.py's tracer reads it.  ROADMAP item 1 moves the
     tracer onto the program's own spans and deletes this."""
     if name == "optimize":
         from scipy import optimize
@@ -34,11 +36,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _checked_tol(tol: float) -> float:
+def _checked_tol(tol: float, name: str = "tol") -> float:
     """tol itself; a bisection to a tolerance that is not positive and finite
     either never ends or never starts."""
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
     return tol
 
 
@@ -99,17 +101,34 @@ class DistanceConfig:
     max_doublings: int = 60
     maxiter: int = 200
 
+    def __post_init__(self) -> None:
+        schedule = self.segment_schedule
+        if not (isinstance(schedule, tuple) and schedule
+                and all(isinstance(s, int) and s >= 1 for s in schedule)):
+            raise ValueError("segment_schedule must be a non-empty tuple of "
+                             f"positive ints, got {schedule!r}")
+        for name, least in (("starts", 1), ("max_doublings", 1),
+                            ("maxiter", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= least):
+                raise ValueError(f"{name} must be an int >= {least}, "
+                                 f"got {value!r}")
+        for name in ("tol", "reach_tol"):
+            _checked_tol(getattr(self, name), name)
+
 
 class FeasibleBatch(NamedTuple):
     """Per-target outcome of one batched feasibility solve.
 
     ``hits`` comes first: perfbench/layers.py counts bool(result[0]) as a
-    successful solve.
+    successful solve.  ``controls`` holds a path of ``segments`` segments in
+    its first segments * m entries, padded with zeros to the longest count.
     """
 
     hits: int                 # targets reached
     ok: np.ndarray            # (T,) target reached within reach
-    controls: np.ndarray      # (T, S*m) first successful start, else the best
+    controls: np.ndarray      # (T, S*m) the member that reached, else the best
+    segments: np.ndarray      # (T,) that member's segment count
 
 
 # projected Levenberg-Marquardt in `feasible`: damping relative to the mean
@@ -130,6 +149,15 @@ _ACTIVE_SET_PASSES = 8
 # 2-core Xeon with 2 MiB of L2 per core, 3,200 members at 4 segments took up
 # to 1.8x as long in blocks of 2^17 floats or in one block
 _FLOW_BLOCK_FLOATS = 1 << 16
+
+
+@functools.lru_cache(maxsize=32)
+def _segment_sums(S: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The prefix-sum matrix over S segments, [s, u] = 1 for u < s, and its
+    transpose, [s, u] = 1 for u > s; shared, so read-only."""
+    sums = np.tri(S, S, -1)
+    sums.flags.writeable = False
+    return sums, sums.T
 
 
 def endpoint(x: Sequence, path: ControlPath,
@@ -265,17 +293,18 @@ class MetricSpace:
         """
         B, S = controls.shape[:2]
         xp = x[self._perm]
-        sums = np.tri(S, S, -1)   # [s, u] = 1 for u < s
+        sums, later = _segment_sums(S)
         step = max(1, _FLOW_BLOCK_FLOATS // (self._column_floats * S))
         end = np.empty((B, self.n))
         J = np.empty((B, self.n, S * self.m))
         for lo in range(0, B, step):
-            self._flow_block(xp, controls[lo:lo + step], sums,
+            self._flow_block(xp, controls[lo:lo + step], sums, later,
                              end[lo:lo + step], J[lo:lo + step])
         return end, J
 
     def _flow_block(self, xp: np.ndarray, controls: np.ndarray,
-                    sums: np.ndarray, end: np.ndarray, J: np.ndarray) -> None:
+                    sums: np.ndarray, later: np.ndarray, end: np.ndarray,
+                    J: np.ndarray) -> None:
         """_flow_batch for one block of members, written to end and J."""
         n, m = self.n, self.m
         B, S = controls.shape[:2]
@@ -298,7 +327,6 @@ class MetricSpace:
         # level.  acc[i, j, s] = Sum_p adj[i, p, s] dg_p/da_j(s), over all
         # p, is d(endpoint_i)/d(a_j at segment s).  Rows i below the level
         # of c vanish.
-        later = sums.T   # [s, u] = 1 for u > s
         acc = np.zeros((n, m + n, S, B))
         lo = self._levels[-1][0]
         acc[lo:, :m + lo] = grads[-1]
@@ -313,42 +341,54 @@ class MetricSpace:
 
     # -- feasibility and distance ----------------------------------------------
 
-    def feasible(self, x: Sequence[float], ys, scale: float, segments: int,
-                 rng: random.Random, reach: float,
-                 starts: Optional[int] = None) -> FeasibleBatch:
+    def feasible(self, x: Sequence[float], ys, scale: float,
+                 segments: Union[int, Sequence[int]], rng: random.Random,
+                 reach: float, starts: Optional[int] = None) -> FeasibleBatch:
         """Search for paths of the given scale from x to each target.
 
-        ``ys`` is one target (n,) or T targets (T, n).  Every target gets
-        the same number of starts: start 0 is all zeros, the others are
-        drawn from ``rng``.  All T * starts members run one projected
-        Levenberg-Marquardt loop in the unit box u = controls / bound: the
-        minimum-norm step -J^T (J J^T + lambda I)^{-1} r, with controls
-        that sit at their bound and would step outwards frozen, then
-        clipped to the box.
+        ``ys`` is one target (n,) or T targets (T, n), and ``segments`` one
+        segment count or several.  Every target gets the same members: per
+        segment count, ``starts`` starts, start 0 all zeros and the others
+        drawn from ``rng``.  A path of fewer segments than the longest is
+        padded with segments whose control bound is 0, so its padded
+        controls and their Jacobian columns are exactly zero.  All members
+        run one projected Levenberg-Marquardt loop in the unit box
+        u = controls / bound: the minimum-norm step
+        -J^T (J J^T + lambda I)^{-1} r, with controls that sit at their
+        bound and would step outwards frozen, then clipped to the box.  A
+        target is won, and all its members stop, as soon as one of them
+        reaches it.
         """
         cfg = self.config
-        n, m, S = self.n, self.m, segments
-        K = starts or cfg.starts
+        n, m = self.n, self.m
+        counts = (segments,) if isinstance(segments, int) else tuple(segments)
+        S, C, K = max(counts), len(counts), starts or cfg.starts
+        G = C * K   # members per target: start k of count c is c * K + k
         xv = np.asarray(x, float)
         ys = np.asarray(ys, float).reshape(-1, n)
         T = len(ys)
-        hi = np.tile([scale ** nu / S for nu in self.degrees], S)
-        u = np.zeros((T, K, S * m))
+        bounds = np.zeros((C, S, m))
+        for c, s in enumerate(counts):
+            bounds[c, :s] = [scale ** nu / s for nu in self.degrees]
+        bounds = bounds.reshape(C, S * m)
+        u = np.zeros((T, C, K, S * m))
         if K > 1:
             gen = np.random.default_rng(rng.getrandbits(64))
-            u[:, 1:] = gen.uniform(-1.0, 1.0, (T, K - 1, S * m))
-        u = u.reshape(T * K, S * m)
-        target = np.repeat(ys, K, axis=0)
+            for c, s in enumerate(counts):
+                u[:, c, 1:, :s * m] = gen.uniform(-1.0, 1.0, (T, K - 1, s * m))
+        u = u.reshape(T * G, S * m)
+        hi = np.tile(np.repeat(bounds, K, axis=0), (T, 1))
+        target = np.repeat(ys, G, axis=0)
 
-        def residual(u, target):
+        def residual(u, hi, target):
             p, J = self._flow_batch(xv, (u * hi).reshape(-1, S, m))
             r = p - target
-            return r, np.einsum("bi,bi->b", r, r), J * hi
+            return r, np.einsum("bi,bi->b", r, r), J * hi[:, None, :]
 
         # member state, of the running members only; `live` holds their
-        # global indices, t * K + k for start k of target t
-        live = np.arange(T * K)
-        r, f, J = residual(u, target)
+        # global indices, t * G + c * K + k
+        live = np.arange(T * G)
+        r, f, J = residual(u, hi, target)
         lam = np.full(len(live), _DAMPING_START)
         # f of the last _STALL_WINDOW + 1 iterations, iteration i in row
         # i % rows
@@ -356,17 +396,17 @@ class MetricSpace:
         history = np.empty((rows, len(live)))
         eye = np.eye(n)
         final_u = np.empty_like(u)
-        final_f = np.empty(T * K)
-        won = np.full(T, K)   # first successful start per target
+        final_f = np.empty(T * G)
+        won = np.full(T, G)   # per target, the member that reached it
         for it in range(cfg.maxiter + 1):
             history[it % rows] = f
             done = f <= reach * reach
             if done.any():
-                # a target is won by its first start to reach it; the later
-                # starts stop (all earlier wins stopped theirs already)
-                owner, start = np.divmod(live, K)
-                np.minimum.at(won, owner[done], start[done])
-                done |= start >= won[owner]
+                # the lowest-numbered member to reach a target wins it, and
+                # all its members stop
+                owner, member = np.divmod(live, G)
+                np.minimum.at(won, owner[done], member[done])
+                done |= won[owner] < G
             done |= lam > _DAMPING_CAP
             if it >= _STALL_WINDOW:
                 done |= f > _STALL_FACTOR * history[(it + 1) % rows]
@@ -378,8 +418,8 @@ class MetricSpace:
                 keep = ~done
                 if not keep.any():
                     break
-                live, u, r, f, J, lam, target = (
-                    a[keep] for a in (live, u, r, f, J, lam, target))
+                live, u, hi, r, f, J, lam, target = (
+                    a[keep] for a in (live, u, hi, r, f, J, lam, target))
                 history = history[:, keep]
             # the floor keeps the n x n solve regular where J vanishes
             damping = lam * np.maximum(np.einsum("bij,bij->b", J, J) / n,
@@ -400,17 +440,19 @@ class MetricSpace:
                     break
                 Jf = Jf * ~outward[:, None, :]
             trial = np.clip(u + step, -1.0, 1.0)
-            r_t, f_t, J_t = residual(trial, target)
+            r_t, f_t, J_t = residual(trial, hi, target)
             better = f_t < f
             u = np.where(better[:, None], trial, u)
             r = np.where(better[:, None], r_t, r)
             J = np.where(better[:, None, None], J_t, J)
             f = np.where(better, f_t, f)
             lam = np.where(better, lam / _DAMPING_DOWN, lam * _DAMPING_UP)
-        ok = won < K
-        pick = np.where(ok, won, np.argmin(final_f.reshape(T, K), axis=1))
+        ok = won < G
+        pick = np.where(ok, won, np.argmin(final_f.reshape(T, G), axis=1))
+        count = pick // K
         return FeasibleBatch(int(ok.sum()), ok,
-                             final_u[np.arange(T) * K + pick] * hi)
+                             final_u[np.arange(T) * G + pick] * bounds[count],
+                             np.array(counts)[count])
 
     def _reach_tol(self, x: Sequence[float], y: Sequence[float]) -> float:
         span = max(abs(float(a) - float(b)) for a, b in zip(x, y))
@@ -421,8 +463,18 @@ class MetricSpace:
                  ) -> DistanceResult:
         """Bisection on the scale; feasibility by the batched multi-start solve.
 
+        Each probed scale is one call of ``feasible`` in which every segment
+        count of the schedule runs at once, ``starts`` starts each, and the
+        scale counts as feasible as soon as any of them reaches y.
         ``lower`` is the ball-box certificate of ``box_lower``; the search
-        bisects between it (or a larger failed scale) and a feasible scale.
+        doubles from a first guess until a scale is feasible, then bisects
+        between it and the larger of ``lower`` and the last failed scale.
+
+        ``tol`` bounds the bisection's width: it stops once
+        hi - lo <= tol * hi.  It does not bound the error in d: a miss is
+        not a proof that no path exists, so ``upper`` can sit above d by
+        more than tol * d (on Grushin pairs in [-1, 1]^2 at tol 1e-3, by up
+        to 1.9e-2 against the closed form).
         """
         cfg = self.config
         tol = _checked_tol(tol if tol is not None else cfg.tol)
@@ -436,19 +488,15 @@ class MetricSpace:
         guess = sum(abs(float(a) - float(b)) ** (1.0 / s)
                     for a, b, s in zip(x, y, sigma)) or 1e-6
 
-        def feas(scale: float) -> Tuple[bool, Optional[np.ndarray], int]:
-            for S in cfg.segment_schedule:
-                res = self.feasible(x, y, scale, S, rng, reach)
-                if res.hits:
-                    return True, res.controls[0], S
-            return False, None, cfg.segment_schedule[0]
+        def feas(scale: float) -> FeasibleBatch:
+            return self.feasible(x, y, scale, cfg.segment_schedule, rng, reach)
 
         lo, hi, path = 0.0, None, None
         scale = guess
         for _ in range(cfg.max_doublings):
-            ok, ctr, S = feas(scale)
-            if ok:
-                hi, path = scale, (ctr, S)
+            res = feas(scale)
+            if res.hits:
+                hi, path = scale, res
                 break
             lo, scale = scale, 2.0 * scale
         if hi is None:
@@ -458,13 +506,13 @@ class MetricSpace:
         lo = max(lo, lower)
         while hi - lo > tol * hi:
             mid = 0.5 * (hi + lo)
-            ok, ctr, S = feas(mid)
-            if ok:
-                hi, path = mid, (ctr, S)
+            res = feas(mid)
+            if res.hits:
+                hi, path = mid, res
             else:
                 lo = mid
-        ctr, S = path
-        segs = tuple((1.0 / S, tuple(float(v) * S for v in ctr[s * self.m:(s + 1) * self.m]))
+        S, ctr, m = int(path.segments[0]), path.controls[0], self.m
+        segs = tuple((1.0 / S, tuple(float(v) * S for v in ctr[s * m:(s + 1) * m]))
                      for s in range(S))
         return DistanceResult(hi, lower, ControlPath(segs, hi), seed)
 

@@ -1,6 +1,7 @@
 """Control distance, ball volumes, doubling and the estimate harness."""
 
 import itertools
+import json
 import math
 import os
 import random
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 
 from flow_reference import SegmentChainFlow, flow_maps
+from grushin_reference import grushin_ball_volume, grushin_distance_from_origin
 from rockland.fields import DilationFamily, PolyVectorField
 from rockland.metric import (
     ControlPath,
+    DistanceConfig,
     DistanceResult,
     MetricSpace,
     derivative_words,
@@ -25,6 +28,7 @@ from rockland.model import load_model
 from rockland.poly import Poly, depends_on, poly_diff, poly_eval
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.fixture(params=["grushin", "three_var_step5"])
@@ -167,6 +171,58 @@ def test_distance_seeded_reproducible(grushin_metric):
     a = grushin_metric.distance([0.1, 0.5], [-0.8, 0.2], seed=5)
     b = grushin_metric.distance([0.1, 0.5], [-0.8, 0.2], seed=5)
     assert a.upper == b.upper and a.lower == b.lower
+
+
+def test_distance_brackets_grushin_closed_form(grushin_metric):
+    """From the origin, lower <= d <= upper against the closed form, on
+    seeded targets inside the constant-control region |q| <= p^2 / 2 and
+    outside it.  upper may sit below d only by what the reach allows."""
+    rng = random.Random(23)
+    targets = []
+    for k in range(44):
+        p = rng.choice((-1, 1)) * rng.uniform(0.1, 1.0)
+        if k % 2:
+            q = rng.uniform(-1.0, 1.0) * p * p / 2
+        else:
+            q = rng.choice((-1, 1)) * (p * p / 2 + rng.uniform(0.01, 1.0))
+        targets.append((p, q))
+    inside = sum(abs(q) <= p * p / 2 for p, q in targets)
+    assert inside >= 20 and len(targets) - inside >= 20
+    for p, q in targets:
+        d = grushin_distance_from_origin(p, q)
+        res = grushin_metric.distance([0.0, 0.0], [p, q], seed=5)
+        assert res.lower <= d, (p, q, res, d)
+        assert res.upper >= d * (1.0 - 1e-6), (p, q, res, d)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("segment_schedule", (), r"segment_schedule .*\(\)"),
+    ("segment_schedule", (4, 0), r"segment_schedule .*\(4, 0\)"),
+    ("segment_schedule", [4, 8], r"segment_schedule .*\[4, 8\]"),
+    ("segment_schedule", (4, 2.5), r"segment_schedule .*\(4, 2\.5\)"),
+    ("starts", 0, r"starts .*0"),
+    ("maxiter", -1, r"maxiter .*-1"),
+    ("max_doublings", 0, r"max_doublings .*0"),
+    ("tol", 0.0, r"tol .*0\.0"),
+    ("tol", math.inf, r"tol .*inf"),
+    ("reach_tol", -1e-9, r"reach_tol .*-1e-09"),
+    ("reach_tol", math.nan, r"reach_tol .*nan"),
+])
+def test_distance_config_rejects_bad_values(field, value, message):
+    """A config that would end a search in an IndexError, an empty argmin
+    or a stagnation report is refused up front, naming field and value."""
+    with pytest.raises(ValueError, match=message):
+        DistanceConfig(**{field: value})
+
+
+def test_distance_config_accepts_edges(grushin):
+    """The least values allowed are accepted, and one start on one segment
+    still finds d((0, 0), (1, 0)) = 1."""
+    DistanceConfig(segment_schedule=(1,), starts=1, maxiter=0, max_doublings=1)
+    cfg = DistanceConfig(segment_schedule=(1,), starts=1)
+    space = MetricSpace(grushin["gens"], grushin["delta"], cfg)
+    res = space.distance([0.0, 0.0], [1.0, 0.0])
+    assert res.lower <= res.upper and abs(res.upper - 1.0) <= 1e-3
 
 
 # -- compiled flow and the batched feasibility solve -----------------------------
@@ -352,6 +408,54 @@ def test_feasible_reports_only_genuine_paths(system):
             assert math.dist(got, y) <= reach
 
 
+def test_feasible_pads_shorter_paths(system):
+    """Several segment counts in one solve: a target reached by a member of
+    fewer segments gets that count, its path in the leading entries and
+    zeros after them, and the path reaches the target."""
+    sysd, space = system
+    n, m, r = space.n, space.m, 0.8
+    rng = random.Random(4)
+    x = [rng.uniform(-0.5, 0.5) for _ in range(n)]
+    targets = []
+    for _ in range(5):
+        segs = tuple((0.5, tuple(rng.uniform(-1, 1) * r ** nu
+                                 for nu in space.degrees)) for _ in range(2))
+        targets.append(endpoint(x, ControlPath(segs, r), sysd["gens"]))
+    reach = 1e-6
+    res = space.feasible(x, targets, r, (2, 8), random.Random(2), reach)
+    assert res.controls.shape == (len(targets), 8 * m)
+    assert res.hits == int(res.ok.sum()) >= 3
+    for ok, S, ctr, y in zip(res.ok, res.segments, res.controls, targets):
+        assert S in (2, 8)
+        assert not ctr[S * m:].any()
+        if ok:
+            path = path_from_controls(ctr, S, m, r)
+            assert path.check_bounds(space.degrees)
+            assert math.dist(endpoint(x, path, sysd["gens"]), y) <= reach
+
+
+def test_feasible_one_count_as_int_or_tuple(system):
+    """One segment count given bare or as a one-count schedule is the same
+    solve, bit for bit."""
+    _, space = system
+    x = [0.1] * space.n
+    ys = [[0.1 + 0.2 * k] * space.n for k in range(1, 4)]
+    a = space.feasible(x, ys, 0.5, 4, random.Random(3), 1e-9)
+    b = space.feasible(x, ys, 0.5, (4,), random.Random(3), 1e-9)
+    assert a.hits == b.hits
+    for u, v in zip(a[1:], b[1:]):
+        assert np.array_equal(u, v)
+
+
+def test_segment_sums_built_once():
+    """The prefix-sum matrices are shared per segment count, and read-only."""
+    from rockland.metric import _segment_sums
+    sums, later = _segment_sums(6)
+    assert _segment_sums(6)[0] is sums
+    assert np.array_equal(sums, np.tri(6, 6, -1)) and np.array_equal(later, sums.T)
+    assert not sums.flags.writeable and not later.flags.writeable
+
+
 # -- bounding box certificate -----------------------------------------------------
 
 def test_box_bounds_certify(grushin, three_var_step5):
@@ -410,6 +514,32 @@ def test_volume_reproducible(system):
     runs = [space.feasible(x, ys, 0.5, 4, random.Random(3), 1e-9)
             for _ in range(2)]
     assert np.array_equal(runs[0].controls, runs[1].controls)
+
+
+def test_volume_pinned_results():
+    """(hits, estimate) of seeded ball volumes on both bundled systems,
+    bit for bit as recorded in tests/data/ballvol_pins.json; a change to
+    the feasibility solve must leave every membership as it was."""
+    with open(os.path.join(DATA, "ballvol_pins.json"), encoding="utf-8") as fh:
+        cases = json.load(fh)
+    spaces = {}
+    for case in cases:
+        name = case["model"]
+        if name not in spaces:
+            model = load_model(os.path.join(MODELS, name + ".model"))
+            spaces[name] = MetricSpace(model.fields, model.delta)
+        v = spaces[name].ball_volume(case["x"], case["r"], case["samples"],
+                                     seed=case["seed"])
+        assert (v.hits, v.estimate) == (case["hits"], case["estimate"]), case
+    assert len(spaces) == 2 and len(cases) >= 20
+
+
+def test_volume_grushin_contains_exact(grushin_metric):
+    """From the origin, the 95% interval contains |B| = 5 r^3 / 3."""
+    for r in (0.25, 1.0, 4.0):
+        v = grushin_metric.ball_volume([0.0, 0.0], r, 400, seed=3)
+        lo, hi = v.confidence_interval
+        assert lo <= grushin_ball_volume(r) <= hi, (r, v)
 
 
 def test_volume_slope_at_origin(grushin_metric):
