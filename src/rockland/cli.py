@@ -32,6 +32,7 @@ from .fundsol import (
     SaturationEvaluator,
     calibration_residuals,
     kernel_calibrate,
+    require_existence,
 )
 from .kernels import heisenberg_gauge_kernel
 from .liealg import generate_lie_algebra, hormander_rank, nilpotency_step
@@ -178,12 +179,7 @@ def _lifting(model: ModelSpec, algebra=None, step=None):
 def _evaluator(model: ModelSpec, lifted=None):
     """Lifted system (built unless given), calibrated kernel and saturation
     evaluator, or raise."""
-    q = sum(model.sigma)
-    if model.operator.nu >= q:
-        raise ExistenceError(
-            f"operator order nu={model.operator.nu} is not below the "
-            f"homogeneous dimension q={q}; the existence hypothesis nu < q "
-            "for a globally homogeneous fundamental solution fails")
+    require_existence(model.operator.nu, sum(model.sigma))
     if model.kernel is None:
         raise ExistenceError(
             "model declares no kernel; fundamental-solution evaluation needs "
@@ -453,7 +449,12 @@ def cmd_report(model: ModelSpec, args, rep: Report):
     heat_results = rep.doc["results"]
     results = {"analyze": analyze_results, "lift": lift_results,
                "heat": heat_results}
-    if model.kernel is not None and model.operator.nu < sum(model.sigma):
+    try:
+        require_existence(model.operator.nu, sum(model.sigma))
+        verify = model.kernel is not None
+    except ExistenceError:
+        verify = False
+    if verify:
         cmd_verify(model, args, rep, lifted)
         results["verify"] = rep.doc["results"]
     else:

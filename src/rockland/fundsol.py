@@ -41,6 +41,17 @@ class ExistenceError(ValueError):
     """Raised when no dilation-homogeneous global fundamental solution exists."""
 
 
+def require_existence(nu: int, q: int) -> None:
+    """Raise ExistenceError unless nu < q, the existence hypothesis for a
+    dilation-homogeneous global fundamental solution of an operator of
+    order nu on a space of homogeneous dimension q."""
+    if nu >= q:
+        raise ExistenceError(
+            f"operator order nu={nu} is not below the homogeneous "
+            f"dimension q={q}; the existence hypothesis nu < q for "
+            "a homogeneous global fundamental solution fails")
+
+
 def _require_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -545,11 +556,7 @@ class SaturationEvaluator:
     def __init__(self, lifted: LiftedSystem, operator: OperatorSpec,
                  kernel: KernelSpec,
                  config: Optional[QuadratureConfig] = None) -> None:
-        if operator.nu >= lifted.q:
-            raise ExistenceError(
-                f"operator order nu={operator.nu} is not below the homogeneous "
-                f"dimension q={lifted.q}; the existence hypothesis nu < q for "
-                "a homogeneous global fundamental solution fails")
+        require_existence(operator.nu, lifted.q)
         if kernel.homogeneity_degree != operator.nu - lifted.Q:
             raise ValueError("kernel homogeneity degree does not match nu - Q")
         if lifted.p != 1:

@@ -2,10 +2,15 @@
 
 Starting from certified homogeneous fields, breadth-first bracketing produces
 a finite graded basis (termination is guaranteed because a bracket of total
-degree above the top dilation exponent must vanish).  Linear independence is
-decided exactly over the rationals: a polynomial vector field is flattened to
-its vector of monomial coefficients, one slot per (coordinate, monomial)
-pair, and Gaussian elimination runs on Fractions.
+degree above the top dilation exponent must vanish).  A polynomial vector
+field is flattened to its vector of monomial coefficients, one slot per
+(coordinate, monomial) pair, and one exact span over the rationals
+(`_RationalSpan`, elimination on Fractions) holds the fields bracketed so
+far.  That span decides whether a bracket is new, and it returns the exact
+coordinates of every bracket of basis fields, which are the structure
+constants.  The same elimination gives `hormander_rank` and
+`nilpotency_step`, and the inverse of a graded map's linear part in
+`rockland.lifting`.
 
 The basis ordering is part of the public contract: non-decreasing degree,
 with the original generators first within their degree, then insertion order.
@@ -18,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .fields import DilationFamily, PolyVectorField, certify_homogeneity, commutator
 from .poly import Poly
@@ -34,82 +39,68 @@ def _flatten(X: PolyVectorField) -> Dict[Key, Fraction]:
     return vec
 
 
+def _axpy(acc: Dict[Any, Fraction], a: Fraction, vec: Dict[Any, Fraction]) -> None:
+    """acc += a * vec in place, dropping entries that cancel."""
+    for k, v in vec.items():
+        nv = acc.get(k, Fraction(0)) + a * v
+        if nv:
+            acc[k] = nv
+        else:
+            acc.pop(k, None)
+
+
 class _RationalSpan:
     """Incremental row-reduced span of exact coefficient vectors.
 
-    A vector maps keys to nonzero Fractions; the keys of one span must be
-    mutually comparable (the least key of a row is its pivot).
+    The one exact elimination of the package.  A vector maps keys to nonzero
+    Fractions; the keys of one span must be mutually comparable (the least
+    key of a row is its pivot).  Each reduced row also keeps its combination
+    of the inserted vectors, so the span answers three questions: whether a
+    vector is new (`insert`), the dimension (`rank`) and the exact
+    coordinates of a vector in the inserted vectors (`coords`).
     """
 
     def __init__(self) -> None:
-        self.rows: List[Dict[Key, Fraction]] = []
-        self.pivots: List[Key] = []
+        self.rows: List[Dict[Any, Fraction]] = []
+        self.pivots: List[Any] = []
+        # combs[r][m]: coefficient of the m-th inserted vector in rows[r]
+        self.combs: List[Dict[int, Fraction]] = []
 
-    @staticmethod
-    def _pivot(vec: Dict[Key, Fraction]) -> Optional[Key]:
-        return min(vec) if vec else None
-
-    def reduce(self, vec: Dict[Key, Fraction]) -> Dict[Key, Fraction]:
-        out = dict(vec)
-        for row, piv in zip(self.rows, self.pivots):
+    def reduce(self, vec: Dict[Any, Fraction]
+               ) -> Tuple[Dict[Any, Fraction], Dict[int, Fraction]]:
+        """(remainder of vec, combination of the inserted vectors taken off)."""
+        out: Dict[Any, Fraction] = dict(vec)
+        comb: Dict[int, Fraction] = {}
+        for row, piv, row_comb in zip(self.rows, self.pivots, self.combs):
             c = out.get(piv)
             if c:
-                for k, v in row.items():
-                    nv = out.get(k, Fraction(0)) - c * v
-                    if nv:
-                        out[k] = nv
-                    else:
-                        out.pop(k, None)
-        return out
+                _axpy(out, -c, row)
+                _axpy(comb, c, row_comb)
+        return out, comb
 
-    def insert(self, vec: Dict[Key, Fraction]) -> bool:
+    def insert(self, vec: Dict[Any, Fraction]) -> bool:
         """Add vec to the span; False if it was already in the span."""
-        red = self.reduce(vec)
+        red, comb = self.reduce(vec)
         if not red:
             return False
-        piv = self._pivot(red)
+        piv = min(red)
         inv = Fraction(1) / red[piv]
-        red = {k: v * inv for k, v in red.items()}
-        self.rows.append(red)
+        new_comb = {m: -v * inv for m, v in comb.items()}
+        new_comb[self.rank] = inv
+        self.rows.append({k: v * inv for k, v in red.items()})
         self.pivots.append(piv)
+        self.combs.append(new_comb)
         return True
+
+    def coords(self, vec: Dict[Any, Fraction]) -> Optional[List[Fraction]]:
+        """Exact coordinates of vec in the inserted vectors, in insertion
+        order, or None when vec lies outside the span."""
+        red, comb = self.reduce(vec)
+        return None if red else [comb.get(m, Fraction(0)) for m in range(self.rank)]
 
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-def _solve_in_basis(basis_vecs: List[Dict[Key, Fraction]],
-                    target: Dict[Key, Fraction]) -> Optional[List[Fraction]]:
-    """Exact coordinates of target in the span of basis_vecs, or None."""
-    n = len(basis_vecs)
-    keys = sorted(set().union(*basis_vecs, target) if basis_vecs or target else set())
-    # rows: coefficients of the unknowns plus the right-hand side
-    rows = [[vec.get(k, Fraction(0)) for vec in basis_vecs] + [target.get(k, Fraction(0))]
-            for k in keys]
-    pivot_col_of_row: List[int] = []
-    r = 0
-    for col in range(n):
-        sel = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_col_of_row.append(col)
-        r += 1
-    # consistency: no nonzero right-hand side below the pivot rows
-    for i in range(r, len(rows)):
-        if rows[i][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(pivot_col_of_row):
-        sol[col] = rows[i][n]
-    return sol
 
 
 @dataclass(frozen=True)
@@ -213,16 +204,16 @@ def generate_lie_algebra(fields: Sequence[PolyVectorField],
     generator_indices = tuple(order.index(idx) for idx in range(len(gens)))
     basis = LieBasis(W, degrees, generator_indices)
 
-    basis_vecs = [_flatten(X) for X in W]
     table: List[Tuple[int, int, int, Fraction]] = []
     N = len(W)
     for i in range(N):
         for j in range(i + 1, N):
             Z = commutator(W[i], W[j])
-            coords = _solve_in_basis(basis_vecs, _flatten(Z))
+            coords = span.coords(_flatten(Z))
             if coords is None:
                 raise ValueError("bracket escapes the computed span; closure bug")
-            for k, c in enumerate(coords):
+            for k in range(N):
+                c = coords[order[k]]
                 if c != 0:
                     if degrees[k] != degrees[i] + degrees[j]:
                         raise ValueError("structure constants violate the grading")
@@ -246,12 +237,7 @@ def _ad_apply(ad_a: Dict[int, Dict[int, Fraction]],
     """Coordinates of [W_a, v] for v given by its nonzero coordinates."""
     out: Dict[int, Fraction] = {}
     for b, vb in v.items():
-        for k, c in ad_a.get(b, {}).items():
-            nv = out.get(k, 0) + vb * c
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
+        _axpy(out, vb, ad_a.get(b, {}))
     return out
 
 
@@ -275,8 +261,7 @@ def hormander_rank(basis: LieBasis, point: Sequence) -> int:
     span = _RationalSpan()
     for X in basis.W:
         vals = X.eval_at(point)
-        vec = {(i, ()): Fraction(v) for i, v in enumerate(vals) if v != 0}
-        span.insert(vec)
+        span.insert({i: Fraction(v) for i, v in enumerate(vals) if v != 0})
     return span.rank
 
 

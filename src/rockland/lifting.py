@@ -42,7 +42,8 @@ from .fields import (
     field_apply,
     operator_transpose,
 )
-from .liealg import LieBasis, StructureConstants, hormander_rank, nilpotency_step
+from .liealg import (LieBasis, StructureConstants, _RationalSpan, hormander_rank,
+                     nilpotency_step)
 from .poly import (Poly, embed, is_graded_homogeneous, poly_diff, poly_eval,
                    substitute, substitute_many, to_string)
 
@@ -212,21 +213,23 @@ def invert_graded_map(maps: Sequence[Poly], in_degrees: Sequence[int],
     """
     N = len(maps)
     zero = Poly.zero(N)
-    A = [[Fraction(0)] * N for _ in range(N)]
+    span = _RationalSpan()  # the rows of the linear part A
     h = []
     for i, p in enumerate(maps):
+        row: Dict[int, Fraction] = {}
         rest = zero
         for mono, c in p.terms.items():
             if sum(mono) == 1:
                 k = next(idx for idx, e in enumerate(mono) if e == 1)
                 if in_degrees[k] == out_degrees[i]:
-                    A[i][k] = c
+                    row[k] = c
                     continue
             rest = rest + Poly(N, {mono: c})
         h.append(rest)
-    Ainv = _invert_rational_matrix(A)
-    if Ainv is None:
-        raise ValueError("graded map has singular linear part; not invertible")
+        if not span.insert(row):
+            raise ValueError("graded map has singular linear part; not invertible")
+    # row k of A^-1 holds the coordinates of e_k in the rows of A
+    Ainv = [span.coords({k: Fraction(1)}) for k in range(N)]
     zvars = Poly.variables(N)
 
     def apply_ainv(vec: Sequence[Poly]) -> List[Poly]:
@@ -245,23 +248,6 @@ def invert_graded_map(maps: Sequence[Poly], in_degrees: Sequence[int],
     if compose_map(list(maps), cur) != list(zvars) or compose_map(cur, list(maps)) != list(zvars):
         raise ValueError("graded map inversion failed to verify; map is not unipotent-graded")
     return cur
-
-
-def _invert_rational_matrix(A: List[List[Fraction]]) -> Optional[List[List[Fraction]]]:
-    N = len(A)
-    work = [list(row) + [Fraction(int(i == j)) for j in range(N)] for i, row in enumerate(A)]
-    for col in range(N):
-        sel = next((r for r in range(col, N) if work[r][col] != 0), None)
-        if sel is None:
-            return None
-        work[col], work[sel] = work[sel], work[col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(N):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return [row[N:] for row in work]
 
 
 # -- the group ---------------------------------------------------------------

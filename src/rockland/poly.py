@@ -341,13 +341,6 @@ def is_graded_homogeneous(a: Poly, sigma: Sequence[int], d: int) -> bool:
     return not comps or set(comps) == {d}
 
 
-def graded_degree(a: Poly, sigma: Sequence[int]) -> int:
-    """Maximal graded degree over the monomials of a (0 for the zero poly)."""
-    if not a.terms:
-        return 0
-    return max(graded_degree_of_monomial(m, sigma) for m in a.terms)
-
-
 def substitute(a: Poly, images: Sequence[Poly]) -> Poly:
     """Compose: replace variable x_i of a by images[i].
 

@@ -80,6 +80,18 @@ def test_gamma_refuses_nu_geq_q(capsys):
     assert "nu < q" in capsys.readouterr().err
 
 
+def test_gamma_gate_runs_before_lifting(monkeypatch, capsys):
+    """The nu < q refusal comes before any lifting or calibration."""
+    import rockland.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lifting or calibration ran before the gate")
+    monkeypatch.setattr(cli, "_lifting", forbidden)
+    monkeypatch.setattr(cli, "kernel_calibrate", forbidden)
+    assert run(["gamma", "--model", model("quartic_k2")]) == 2
+    assert "nu < q" in capsys.readouterr().err
+
+
 def test_gamma_requires_kernel(capsys):
     # k=3 passes the existence gate (nu=4 < q=5) but ships no kernel
     assert run(["gamma", "--model", model("quartic_k3")]) == 2

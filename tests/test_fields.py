@@ -35,6 +35,13 @@ def d1(n=2):
     return fld(n, coeffs)
 
 
+def test_from_coeffs_takes_the_ambient_space():
+    coeffs = [Poly.const(3, 1), Poly.var(3, 0), Poly.var(3, 1) ** 2]
+    X = PolyVectorField.from_coeffs(coeffs, 1)
+    assert X == fld(3, coeffs, 1)
+    assert PolyVectorField.from_coeffs(iter(coeffs)).declared_degree is None
+
+
 def test_field_apply():
     X = d1()
     assert field_apply(X, Poly.var(2, 0) ** 2) == Poly.var(2, 0) * 2

@@ -8,12 +8,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liealg_reference import check_jacobi_dense, nilpotency_step_dense
+from liealg_reference import (_invert_rational_matrix, _solve_in_basis,
+                              check_jacobi_dense, nilpotency_step_dense)
 from rockland.fields import DilationFamily, PolyVectorField, commutator
-from rockland.liealg import (StructureConstants, _check_jacobi, generate_lie_algebra,
-                             hormander_rank, nilpotency_step)
-from rockland.lifting import _invert_rational_matrix
+from rockland.liealg import (StructureConstants, _check_jacobi, _flatten, _RationalSpan,
+                             generate_lie_algebra, hormander_rank, nilpotency_step)
+from rockland.lifting import invert_graded_map
 from rockland.model import load_model, parse_model
 from rockland.poly import Poly
 
@@ -210,3 +213,90 @@ def test_sparse_checks_on_brackets_with_several_terms():
     assert any(fails)
     for b in bad:
         assert nilpotency_step(b, degrees) == nilpotency_step_dense(b, degrees)
+
+
+# -- the span's coordinates and inverse against the dense eliminations ------------
+
+_ENTRY = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _rational_matrix(draw, rows, cols):
+    """A rows x cols matrix of small Fractions, at times with a zero column
+    and with rows replaced by combinations of earlier rows (rank-deficient)."""
+    A = [[draw(_ENTRY) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, cols - 1))
+        for row in A:
+            row[k] = Fraction(0)
+    for i in range(1, rows):
+        if draw(st.integers(0, 3)) == 0:
+            a, b = draw(_ENTRY), draw(_ENTRY)
+            j = draw(st.integers(0, i - 1))
+            A[i] = [a * x + b * y for x, y in zip(A[j], A[i - 1])]
+    return A
+
+
+def _sparse(row):
+    return {k: v for k, v in enumerate(row) if v}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 5), st.integers(0, 6))
+def test_span_coords_match_dense_solve(data, dim, count):
+    """insert accepts exactly the vectors outside the dense span, and coords
+    returns the dense solve's exact coordinates (Fractions), or None, both
+    for a combination of the basis and for a free vector."""
+    vecs = [_sparse(r) for r in data.draw(_rational_matrix(count, dim))]
+    span, basis = _RationalSpan(), []
+    for v in vecs:
+        assert span.insert(v) == (_solve_in_basis(basis, v) is None)
+        if len(basis) < span.rank:
+            basis.append(v)
+    assert span.rank == len(basis)
+    weights = [data.draw(_ENTRY) for _ in basis]
+    inside = _sparse([sum((w * b.get(k, 0) for w, b in zip(weights, basis)), Fraction(0))
+                      for k in range(dim)])
+    free = _sparse(data.draw(_rational_matrix(1, dim))[0])
+    for target in (inside, free):
+        want = _solve_in_basis(basis, target)
+        got = span.coords(target)
+        assert got == want
+        assert got is None or all(type(c) is Fraction for c in got)
+    assert span.coords(inside) == weights
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 5))
+def test_span_inverse_matches_dense_inverse(data, N):
+    """The linear map z -> A z inverts to the dense A^-1 exactly, and a
+    singular A is refused where the dense elimination finds no inverse."""
+    A = data.draw(_rational_matrix(N, N))
+    z = Poly.variables(N)
+
+    def linear(M):
+        return [sum((z[k] * a for k, a in enumerate(row) if a), start=Poly.zero(N))
+                for row in M]
+    want = _invert_rational_matrix(A)
+    if want is None:
+        with pytest.raises(ValueError, match="singular linear part"):
+            invert_graded_map(linear(A), (1,) * N, (1,) * N)
+        return
+    got = invert_graded_map(linear(A), (1,) * N, (1,) * N)
+    assert got == linear(want)
+    assert all(type(c) is Fraction for p in got for c in p.terms.values())
+
+
+def test_structure_constants_match_dense_solve():
+    """On every bundled model and three seeded catalogue passes, the table
+    read from the bracketing span is the dense solve's, entry for entry and
+    in the same (i, j, k) order."""
+    for basis, sc in _algebras():
+        vecs = [_flatten(X) for X in basis.W]
+        table = []
+        for i in range(basis.N):
+            for j in range(i + 1, basis.N):
+                coords = _solve_in_basis(vecs, _flatten(commutator(basis.W[i], basis.W[j])))
+                table += [(i, j, k, c) for k, c in enumerate(coords) if c != 0]
+        assert sc.table == tuple(table)
+        assert all(type(c) is Fraction for *_, c in sc.table)

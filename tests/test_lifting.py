@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from liealg_reference import _invert_rational_matrix
 from rockland.fields import DilationFamily, PolyVectorField, certify_homogeneity
 from rockland.liealg import generate_lie_algebra, hormander_rank
 from rockland.lifting import (
     GroupLaw,
     HomNorm,
-    _invert_rational_matrix,
     _verify_group,
     bch_product,
     build_group,
@@ -218,6 +218,21 @@ def test_slice_diffeos(grushin, three_var_step5):
         xi = rational_point(rng, p)
         out = sm.psi_at(zero, zero, xi)
         assert out == xi  # (0,0)^{-1} * (0, xi) = (0, xi)
+
+
+def test_phi_at_matches_group_law(grushin, three_var_step5):
+    """Phi_{x,y}(zeta) = pi_p((y,0) * (y,zeta)^-1 * (x,0)), exactly, at
+    rational points through the evaluated group law."""
+    rng = random.Random(56)
+    for lifted in lifted_models(grushin, three_var_step5):
+        sm = slice_diffeos(lifted)
+        n, p = lifted.n, lifted.p
+        for _ in range(5):
+            x, y, zeta = rational_point(rng, n), rational_point(rng, n), rational_point(rng, p)
+            zero = [Fraction(0)] * p
+            a = lifted.mult_eval(y + zero, lifted.inverse_eval(y + zeta))
+            want = lifted.mult_eval(a, x + zero)[n:]
+            assert sm.phi_at(x, y, zeta) == want
 
 
 def test_saturable_check(grushin, three_var_step5, grushin_quartic):

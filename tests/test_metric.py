@@ -77,6 +77,10 @@ def test_distance_zero(grushin_metric):
     assert res.upper == 0.0 and res.lower == 0.0
 
 
+def test_distance_result_value_is_upper():
+    assert DistanceResult(upper=1.25, lower=0.5, path=None, seed=3).value == 1.25
+
+
 def test_distance_grushin_unit(grushin_metric):
     res = grushin_metric.distance([0.0, 0.0], [1.0, 0.0])
     assert abs(res.upper - 1.0) <= 1e-3

@@ -48,6 +48,14 @@ def test_mul_dimension_mismatch():
         poly_mul(Poly.var(2, 0), Poly.var(3, 0))
 
 
+def test_scalar_minus_poly():
+    """scalar - p dispatches to Poly.__rsub__ and equals const - p."""
+    p = x(0) * 2 + x(1) ** 2 - 5
+    for c in (3, Fraction(-1, 2), 0):
+        assert c - p == Poly.const(2, c) - p == -(p - c)
+    assert (5 - p).terms == {(1, 0): Fraction(-2), (0, 2): Fraction(-1), (0, 0): Fraction(10)}
+
+
 def test_diff_basic():
     k = 5
     assert poly_diff(x(0) ** k * x(1), 0) == x(0) ** (k - 1) * x(1) * k
