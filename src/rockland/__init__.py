@@ -34,7 +34,6 @@ from .lifting import (
 from .kernels import KernelSpec, group_gauge, heisenberg_gauge_kernel
 from .metric import (
     ControlPath,
-    DistanceConfig,
     DistanceResult,
     MetricSpace,
     VolumeResult,
@@ -49,7 +48,6 @@ from .fundsol import (
     BumpSpec,
     ExistenceError,
     GammaRecord,
-    QuadratureConfig,
     SaturationEvaluator,
     calibration_residuals,
     kernel_calibrate,

@@ -470,6 +470,8 @@ def cmd_report(model: ModelSpec, args, rep: Report):
 
 # the commands whose function returns no CSV table
 NO_CSV_TABLE = ("lift", "heat")
+# the commands whose function reads no --tol
+NO_TOL = ("analyze", "lift", "gamma", "ballvol", "heat")
 
 COMMANDS = {
     "analyze": cmd_analyze,
@@ -504,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, help="model file to load")
         p.add_argument("--tol", type=float, default=None,
                        help=f"tolerance override (default {DEFAULTS['tol']} "
-                            "for metric commands, per-check table otherwise)")
+                            "for distance, the per-check table for verify "
+                            "and report)")
         p.add_argument("--seed", type=int, default=DEFAULTS["seed"],
                        help=f"random seed (default {DEFAULTS['seed']})")
         p.add_argument("--samples", type=int, default=DEFAULTS["samples"],
@@ -521,7 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _bad_flag(args) -> Optional[str]:
-    """Why a numeric flag is out of range, or None when all are usable."""
+    """Why a numeric flag is out of range or unread, or None when all are
+    usable."""
+    if args.tol is not None and args.command in NO_TOL:
+        return f"--tol {args.tol}: the {args.command} command takes no tolerance"
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
         return f"--tol must be positive and finite, got {args.tol}"
     if args.samples < 1:

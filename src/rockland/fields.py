@@ -237,6 +237,13 @@ def certify_homogeneity_report(X: PolyVectorField, delta: DilationFamily,
     return nu, []
 
 
+def declared_degrees(fields: Sequence[PolyVectorField]) -> Tuple[int, ...]:
+    """Each field's declared homogeneity degree; every field must carry one."""
+    if any(X.declared_degree is None for X in fields):
+        raise ValueError("every field must carry a declared homogeneity degree")
+    return tuple(X.declared_degree for X in fields)
+
+
 def multiindex_weight(I: MultiIndex, degrees: Sequence[int]) -> int:
     """Sum of the homogeneity degrees along the word."""
     for i in I:
@@ -266,12 +273,7 @@ class OperatorSpec:
 
     @property
     def degrees(self) -> Tuple[int, ...]:
-        degs = []
-        for X in self.fields:
-            if X.declared_degree is None:
-                raise ValueError("operator fields must carry homogeneity degrees")
-            degs.append(X.declared_degree)
-        return tuple(degs)
+        return declared_degrees(self.fields)
 
     @property
     def nvars(self) -> int:
@@ -444,15 +446,6 @@ def _wordsum_pow(a: _WordSum, k: int) -> _WordSum:
     return out
 
 
-def _require_degrees(fields: Sequence[PolyVectorField]) -> List[int]:
-    degs = []
-    for X in fields:
-        if X.declared_degree is None:
-            raise ValueError("all fields must carry certified homogeneity degrees")
-        degs.append(X.declared_degree)
-    return degs
-
-
 def make_standard_operator(kind: str, fields: Sequence[PolyVectorField],
                            **params) -> OperatorSpec:
     """Build one of the standard homogeneous operator families.
@@ -464,7 +457,7 @@ def make_standard_operator(kind: str, fields: Sequence[PolyVectorField],
       hormander_power     params drift, k: (Sum_{j != drift} X_j^2 + X_drift)^k
     """
     fields = tuple(fields)
-    degs = _require_degrees(fields)
+    degs = declared_degrees(fields)
     m = len(fields)
     if kind == "rockland_power":
         nu0, k = int(params["nu0"]), int(params.get("k", 1))

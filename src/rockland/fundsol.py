@@ -23,18 +23,17 @@ import numpy as np
 
 from .fields import (
     OperatorSpec,
-    certify_homogeneity,
     chain_jet,
+    multiindex_weight,
     operator_transpose,
 )
 from .kernels import KernelSpec
 from .lifting import (
     LiftedSystem,
-    compose_map,
     exp_flow,
     invert_graded_map,
 )
-from .poly import _EVAL_BLOCK, CompiledPolys, Poly, poly_diff
+from .poly import _EVAL_BLOCK, CompiledPolys, Poly, poly_diff, substitute_many
 
 
 class ExistenceError(ValueError):
@@ -55,23 +54,6 @@ def require_existence(nu: int, q: int) -> None:
 def _require_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-    core_radius_factor: float = 8.0
-    sup_samples: int = 2000
-    sup_safety: float = 2.0
-    seed: int = 10007
-
-    def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "core_radius_factor"):
-            _require_positive(name, getattr(self, name))
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions too small")
 
 
 @dataclass(frozen=True)
@@ -380,8 +362,15 @@ _CHUNK = 512
 _EPS = np.finfo(float).eps
 # QUADPACK's floor on a panel's error estimate, relative to the integral of |f|
 _ROUNDING = 50.0 * _EPS
+# the saturation integral's tolerances (a call may ask for another relative
+# one) and its cap on bisections per integral
+_REL_TOL = 1e-8
+_ABS_TOL = 1e-12
+_MAX_BISECTIONS = 200
+# the core's half-width r0 in units of g0
+_CORE_RADIUS_FACTOR = 8.0
 # starting layouts (core, tails): the core's panel edges on each side of
-# zeta = 0 inside core_radius_factor, in units of g0, where the integrand's
+# zeta = 0 inside _CORE_RADIUS_FACTOR, in units of g0, where the integrand's
 # features lie, and the tails' edges in u = 1/zeta from u = 0, in units of
 # 1/r0.  A single pair costs per pass of the rule, so it starts on fine
 # panels that seldom need a second pass (1.05 passes per integral on pairs
@@ -554,8 +543,7 @@ class SaturationEvaluator:
     """
 
     def __init__(self, lifted: LiftedSystem, operator: OperatorSpec,
-                 kernel: KernelSpec,
-                 config: Optional[QuadratureConfig] = None) -> None:
+                 kernel: KernelSpec) -> None:
         require_existence(operator.nu, lifted.q)
         if kernel.homogeneity_degree != operator.nu - lifted.Q:
             raise ValueError("kernel homogeneity degree does not match nu - Q")
@@ -565,15 +553,9 @@ class SaturationEvaluator:
         self.lifted = lifted
         self.operator = operator
         self.kernel = kernel
-        self.config = config or QuadratureConfig()
-        self.field_degrees = tuple(
-            certify_homogeneity(X, lifted.base_delta, triangular=False)
-            or X.declared_degree
-            for X in lifted.base_fields)
         self._build_integrand_maps()
-        self._layouts = {layout: _start_panels(
-            layout, self.config.core_radius_factor)
-            for layout in (_CORE_LAYOUT, _BATCH_LAYOUT, _SPLIT_TAILS)}
+        self._layouts = {layout: _start_panels(layout, _CORE_RADIUS_FACTOR)
+                         for layout in (_CORE_LAYOUT, _BATCH_LAYOUT, _SPLIT_TAILS)}
         self._sups: Dict[Tuple[str, Tuple[int, ...]], float] = {}
         self._roundings: Dict[Tuple[str, Tuple[int, ...]],
                               Tuple[float, np.ndarray]] = {}
@@ -600,12 +582,12 @@ class SaturationEvaluator:
         y = list(allv[n:2 * n])
         xi = list(allv[2 * n:])
         zero = [Poly.zero(nv)] * p
-        inv_y0 = compose_map(lifted.inverse, y + zero)
-        g_xi = compose_map(lifted.mult, inv_y0 + x + xi)
+        inv_y0 = substitute_many(lifted.inverse, y + zero)
+        g_xi = substitute_many(lifted.mult, inv_y0 + x + xi)
         sigma = lifted.base_delta.sigma
         degs = tuple(sigma) + tuple(sigma) + tuple(lifted.tau)
         psi_inv = invert_graded_map(x + y + list(g_xi[n:]), degs, degs)[2 * n:]
-        self._g_maps = compose_map(g_xi, x + y + psi_inv)
+        self._g_maps = substitute_many(g_xi, x + y + psi_inv)
         for j in range(p):
             if self._g_maps[n + j] != allv[2 * n + j]:
                 raise AssertionError("slice normalization failed; lifting bug")
@@ -682,11 +664,8 @@ class SaturationEvaluator:
     def _sup_bound(self, route: str, word: Tuple[int, ...]) -> float:
         key = (route, word)
         if key not in self._sups:
-            cfg = self.config
             self._sups[key] = abs(self.kernel.calibration_constant) * \
-                self.kernel.sup_on_gauge_sphere(
-                    word, star=(route == "star"), n_samples=cfg.sup_samples,
-                    seed=cfg.seed, safety=cfg.sup_safety)
+                self.kernel.sup_on_gauge_sphere(word, star=(route == "star"))
         return self._sups[key]
 
     def _rounding_bound(self, route: str, word: Tuple[int, ...]
@@ -694,18 +673,15 @@ class SaturationEvaluator:
         """The route's rounding constants (S, D), times eps and |c|."""
         key = (route, word)
         if key not in self._roundings:
-            cfg = self.config
             s, d = self.kernel.rounding_on_gauge_sphere(
                 word, route == "star",
-                self.kernel.homogeneity_degree - self._word_weight(word),
-                n_samples=cfg.sup_samples, seed=cfg.seed,
-                safety=cfg.sup_safety)
+                self.kernel.homogeneity_degree - self._word_weight(word))
             scale = _EPS * abs(self.kernel.calibration_constant)
             self._roundings[key] = (scale * s, scale * d)
         return self._roundings[key]
 
     def _word_weight(self, word: Sequence[int]) -> int:
-        return sum(self.field_degrees[i] for i in word)
+        return multiindex_weight(word, self.operator.degrees)
 
     # -- core integration ------------------------------------------------------
 
@@ -724,7 +700,7 @@ class SaturationEvaluator:
                   layout=_CORE_LAYOUT) -> Tuple[np.ndarray, ...]:
         """Value, error bound and the tail panels' share of that bound (each
         (M,)) of the fiber integrals over M pairs, given as arrays (n, M),
-        to rel_tol (the config's when None).
+        to rel_tol (_REL_TOL when None).
 
         One panel_integral covers, per pair, the core [-r0, r0] in zeta
         (edges at multiples of g0, where the integrand's features lie) and
@@ -732,14 +708,13 @@ class SaturationEvaluator:
         integrand is smooth up to u = 0.  So one pass evaluates core and
         tails together, out to infinity.
         """
-        cfg = self.config
-        rel = cfg.rel_tol if rel_tol is None else rel_tol
+        rel = _REL_TOL if rel_tol is None else rel_tol
         _require_positive("rel_tol", rel)
         coeffs, g0 = self._fiber(xs, ys)
         on_fiber = self._on_fiber(route, word)
         start_lo, start_hi, start_tail = self._layouts[layout]
         pairs, per = len(g0), len(start_tail)
-        inv_r0 = 1.0 / (cfg.core_radius_factor * g0)
+        inv_r0 = 1.0 / (_CORE_RADIUS_FACTOR * g0)
         scale = np.where(start_tail, inv_r0[:, None], g0[:, None])
         owner = np.repeat(np.arange(pairs), per)
         is_tail = np.broadcast_to(start_tail, (pairs, per)).ravel()
@@ -755,7 +730,7 @@ class SaturationEvaluator:
 
         sums = panel_integral(f, (scale * start_lo).ravel(),
                               (scale * start_hi).ravel(), owner,
-                              cfg.abs_tol, rel, cfg.max_subdivisions)
+                              _ABS_TOL, rel, _MAX_BISECTIONS)
         error = sums.error.reshape(pairs, per)
         return (sums.value.reshape(pairs, per).sum(axis=1), error.sum(axis=1),
                 error[:, start_tail].sum(axis=1))

@@ -159,10 +159,6 @@ def exp_flow(field: PolyVectorField, start: Sequence, time) -> list:
 
 # -- polynomial map utilities -------------------------------------------------
 
-def compose_map(outer: Sequence[Poly], images: Sequence[Poly]) -> List[Poly]:
-    return substitute_many(outer, images)
-
-
 def poly_det(mat: List[List[Poly]]) -> Poly:
     """Exact determinant of a square polynomial matrix (Laplace, memoized)."""
     n = len(mat)
@@ -245,7 +241,8 @@ def invert_graded_map(maps: Sequence[Poly], in_degrees: Sequence[int],
                for p, q in zip(nxt, cur)):
             break
         cur = nxt
-    if compose_map(list(maps), cur) != list(zvars) or compose_map(cur, list(maps)) != list(zvars):
+    if (substitute_many(list(maps), cur) != list(zvars)
+            or substitute_many(cur, list(maps)) != list(zvars)):
         raise ValueError("graded map inversion failed to verify; map is not unipotent-graded")
     return cur
 
@@ -302,20 +299,21 @@ def _verify_group(g: GroupLaw) -> None:
     # identity laws
     idvars = Poly.variables(N)
     zeros = [Poly.zero(N)] * N
-    if compose_map(g.mult, list(idvars) + zeros) != list(idvars):
+    if substitute_many(g.mult, list(idvars) + zeros) != list(idvars):
         raise ValueError("group law fails mult(a, 0) = a")
-    if compose_map(g.mult, zeros + list(idvars)) != list(idvars):
+    if substitute_many(g.mult, zeros + list(idvars)) != list(idvars):
         raise ValueError("group law fails mult(0, b) = b")
     # inverse law
     if any(not p.is_zero() for p in
-           compose_map(g.mult, list(idvars) + [substitute(q, list(idvars)) for q in g.inverse])):
+           substitute_many(g.mult, list(idvars) + [substitute(q, list(idvars))
+                                                   for q in g.inverse])):
         raise ValueError("group law fails mult(a, inverse(a)) = 0")
     # associativity in 3N variables
     three = Poly.variables(3 * N)
     a3, b3, c3 = list(three[:N]), list(three[N:2 * N]), list(three[2 * N:])
-    ab = compose_map(g.mult, a3 + b3)
-    bc = compose_map(g.mult, b3 + c3)
-    if compose_map(g.mult, ab + c3) != compose_map(g.mult, a3 + bc):
+    ab = substitute_many(g.mult, a3 + b3)
+    bc = substitute_many(g.mult, b3 + c3)
+    if substitute_many(g.mult, ab + c3) != substitute_many(g.mult, a3 + bc):
         raise ValueError("group law fails associativity")
     # dilation automorphism: mult(delta a, delta b) = delta mult(a, b) holds
     # exactly when every monomial of mult_i has weighted degree d_i in (a, b)
@@ -367,12 +365,9 @@ class LiftedSystem:
             out.append(Xt.sub(X.embed_in(self.N)))
         return tuple(out)
 
-    def mult_eval(self, a: Sequence, b: Sequence) -> list:
-        point = list(a) + list(b)
-        return [poly_eval(m, point) for m in self.mult]
-
-    def inverse_eval(self, a: Sequence) -> list:
-        return [poly_eval(m, list(a)) for m in self.inverse]
+    # the group law's, read off this system's own mult and inverse
+    mult_eval = GroupLaw.mult_eval
+    inverse_eval = GroupLaw.inverse_eval
 
     def to_json(self) -> str:
         doc = {
@@ -497,12 +492,12 @@ def build_lifting(basis: LieBasis, sc: StructureConstants,
 
     # transported group law and inverse in lifted coordinates
     two = Poly.variables(2 * N)
-    inv_images_a = compose_map(theta_inv, list(two[:N]))
-    inv_images_b = compose_map(theta_inv, list(two[N:]))
-    mult_w_ab = compose_map(group.mult, inv_images_a + inv_images_b)
-    mult_z = tuple(compose_map(theta, mult_w_ab))
-    inv_w = compose_map(group.inverse, theta_inv)
-    inverse_z = tuple(compose_map(theta, inv_w))
+    inv_images_a = substitute_many(theta_inv, list(two[:N]))
+    inv_images_b = substitute_many(theta_inv, list(two[N:]))
+    mult_w_ab = substitute_many(group.mult, inv_images_a + inv_images_b)
+    mult_z = tuple(substitute_many(theta, mult_w_ab))
+    inv_w = substitute_many(group.inverse, theta_inv)
+    inverse_z = tuple(substitute_many(theta, inv_w))
 
     lifted_system = LiftedSystem(
         base_delta=delta, base_fields=base_fields, basis=basis, sc=sc,
@@ -632,13 +627,13 @@ def slice_diffeos(lifted: LiftedSystem) -> SliceMaps:
     def lift_pt(base: List[Poly], fibre: List[Poly]) -> List[Poly]:
         return base + fibre
 
-    inv_y0 = compose_map(lifted.inverse, lift_pt(y, zero_xi))
-    psi_full = compose_map(lifted.mult, inv_y0 + lift_pt(x, xi))
+    inv_y0 = substitute_many(lifted.inverse, lift_pt(y, zero_xi))
+    psi_full = substitute_many(lifted.mult, inv_y0 + lift_pt(x, xi))
     psi = tuple(psi_full[n:])
 
-    inv_yxi = compose_map(lifted.inverse, lift_pt(y, xi))
-    a = compose_map(lifted.mult, lift_pt(y, zero_xi) + inv_yxi)
-    b = compose_map(lifted.mult, a + lift_pt(x, zero_xi))
+    inv_yxi = substitute_many(lifted.inverse, lift_pt(y, xi))
+    a = substitute_many(lifted.mult, lift_pt(y, zero_xi) + inv_yxi)
+    b = substitute_many(lifted.mult, a + lift_pt(x, zero_xi))
     phi = tuple(b[n:])
 
     def xi_jacobian_det(maps: Tuple[Poly, ...]) -> Fraction:
@@ -652,8 +647,8 @@ def slice_diffeos(lifted: LiftedSystem) -> SliceMaps:
     det_phi = xi_jacobian_det(phi)
 
     # exact identity: (y,0)^{-1} * (x, Phi(zeta)) == (y,zeta)^{-1} * (x,0)
-    lhs = compose_map(lifted.mult, inv_y0 + lift_pt(x, list(phi)))
-    rhs = compose_map(lifted.mult, inv_yxi + lift_pt(x, zero_xi))
+    lhs = substitute_many(lifted.mult, inv_y0 + lift_pt(x, list(phi)))
+    rhs = substitute_many(lifted.mult, inv_yxi + lift_pt(x, zero_xi))
     if lhs != rhs:
         raise ValueError("slice change-of-variable identity fails; lifting bug")
     return SliceMaps(psi, phi, det_psi, det_phi)

@@ -36,11 +36,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _checked_tol(tol: float, name: str = "tol") -> float:
+def _checked_tol(tol: float) -> float:
     """tol itself; a bisection to a tolerance that is not positive and finite
     either never ends or never starts."""
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     return tol
 
 
@@ -92,31 +92,6 @@ class VolumeResult:
     hits: int
 
 
-@dataclass(frozen=True)
-class DistanceConfig:
-    segment_schedule: Tuple[int, ...] = (4, 8, 16)
-    starts: int = 16
-    tol: float = 1e-3
-    reach_tol: float = 1e-9
-    max_doublings: int = 60
-    maxiter: int = 200
-
-    def __post_init__(self) -> None:
-        schedule = self.segment_schedule
-        if not (isinstance(schedule, tuple) and schedule
-                and all(isinstance(s, int) and s >= 1 for s in schedule)):
-            raise ValueError("segment_schedule must be a non-empty tuple of "
-                             f"positive ints, got {schedule!r}")
-        for name, least in (("starts", 1), ("max_doublings", 1),
-                            ("maxiter", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value >= least):
-                raise ValueError(f"{name} must be an int >= {least}, "
-                                 f"got {value!r}")
-        for name in ("tol", "reach_tol"):
-            _checked_tol(getattr(self, name), name)
-
-
 class FeasibleBatch(NamedTuple):
     """Per-target outcome of one batched feasibility solve.
 
@@ -143,6 +118,20 @@ _DAMPING_CAP = 1e10
 _STALL_WINDOW = 5
 _STALL_FACTOR = 0.9
 _ACTIVE_SET_PASSES = 8
+# every distance probes each scale with all of _SEGMENT_SCHEDULE's segment
+# counts, _STARTS starts each, for at most _MAXITER iterations; a ball volume
+# runs its first count only
+_SEGMENT_SCHEDULE = (4, 8, 16)
+_STARTS = 16
+_MAXITER = 200
+# the bisection's relative width when the caller names none, and the number
+# of doublings of the scale before the search gives up
+_TOL = 1e-3
+_MAX_DOUBLINGS = 60
+# a distance's target counts as reached within _REACH_TOL * (1 + span), a
+# ball's sample within _MEMBERSHIP_RELAX * _TOL * r
+_REACH_TOL = 1e-9
+_MEMBERSHIP_RELAX = 3.0
 
 # `_flow_batch` takes the members in blocks whose largest array holds at
 # most this many floats (512 KiB).  Larger blocks fall out of cache: on a
@@ -203,16 +192,15 @@ class MetricSpace:
     """Control metric of a certified homogeneous system."""
 
     def __init__(self, fields: Sequence[PolyVectorField],
-                 delta: DilationFamily,
-                 config: Optional[DistanceConfig] = None) -> None:
+                 delta: DilationFamily) -> None:
         self.fields = tuple(fields)
         self.delta = delta
-        self.config = config or DistanceConfig()
         self.n = fields[0].nvars
         self.m = len(fields)
         self.degrees = tuple(
             certify_homogeneity(X, delta, triangular=False)
-            or X.declared_degree for X in fields)
+            if X.declared_degree is None else X.declared_degree
+            for X in fields)
         if any(d is None for d in self.degrees):
             raise ValueError("every field must certify a homogeneity degree")
         # box_bounds' terms: per coordinate in increasing weight order, per
@@ -359,10 +347,9 @@ class MetricSpace:
         target is won, and all its members stop, as soon as one of them
         reaches it.
         """
-        cfg = self.config
         n, m = self.n, self.m
         counts = (segments,) if isinstance(segments, int) else tuple(segments)
-        S, C, K = max(counts), len(counts), starts or cfg.starts
+        S, C, K = max(counts), len(counts), starts or _STARTS
         G = C * K   # members per target: start k of count c is c * K + k
         xv = np.asarray(x, float)
         ys = np.asarray(ys, float).reshape(-1, n)
@@ -398,7 +385,7 @@ class MetricSpace:
         final_u = np.empty_like(u)
         final_f = np.empty(T * G)
         won = np.full(T, G)   # per target, the member that reached it
-        for it in range(cfg.maxiter + 1):
+        for it in range(_MAXITER + 1):
             history[it % rows] = f
             done = f <= reach * reach
             if done.any():
@@ -410,7 +397,7 @@ class MetricSpace:
             done |= lam > _DAMPING_CAP
             if it >= _STALL_WINDOW:
                 done |= f > _STALL_FACTOR * history[(it + 1) % rows]
-            if it == cfg.maxiter:
+            if it == _MAXITER:
                 done[:] = True
             if done.any():
                 final_u[live[done]] = u[done]
@@ -456,7 +443,7 @@ class MetricSpace:
 
     def _reach_tol(self, x: Sequence[float], y: Sequence[float]) -> float:
         span = max(abs(float(a) - float(b)) for a, b in zip(x, y))
-        return self.config.reach_tol * (1.0 + span)
+        return _REACH_TOL * (1.0 + span)
 
     def distance(self, x: Sequence[float], y: Sequence[float],
                  tol: Optional[float] = None, seed: int = 2024
@@ -464,20 +451,19 @@ class MetricSpace:
         """Bisection on the scale; feasibility by the batched multi-start solve.
 
         Each probed scale is one call of ``feasible`` in which every segment
-        count of the schedule runs at once, ``starts`` starts each, and the
+        count of _SEGMENT_SCHEDULE runs at once, _STARTS starts each, and the
         scale counts as feasible as soon as any of them reaches y.
         ``lower`` is the ball-box certificate of ``box_lower``; the search
         doubles from a first guess until a scale is feasible, then bisects
         between it and the larger of ``lower`` and the last failed scale.
 
-        ``tol`` bounds the bisection's width: it stops once
+        ``tol`` (_TOL when None) bounds the bisection's width: it stops once
         hi - lo <= tol * hi.  It does not bound the error in d: a miss is
         not a proof that no path exists, so ``upper`` can sit above d by
         more than tol * d (on Grushin pairs in [-1, 1]^2 at tol 1e-3, by up
         to 1.9e-2 against the closed form).
         """
-        cfg = self.config
-        tol = _checked_tol(tol if tol is not None else cfg.tol)
+        tol = _checked_tol(tol if tol is not None else _TOL)
         _checked_point("x", x, self.n)
         _checked_point("y", y, self.n)
         if all(float(a) == float(b) for a, b in zip(x, y)):
@@ -489,11 +475,11 @@ class MetricSpace:
                     for a, b, s in zip(x, y, sigma)) or 1e-6
 
         def feas(scale: float) -> FeasibleBatch:
-            return self.feasible(x, y, scale, cfg.segment_schedule, rng, reach)
+            return self.feasible(x, y, scale, _SEGMENT_SCHEDULE, rng, reach)
 
         lo, hi, path = 0.0, None, None
         scale = guess
-        for _ in range(cfg.max_doublings):
+        for _ in range(_MAX_DOUBLINGS):
             res = feas(scale)
             if res.hits:
                 hi, path = scale, res
@@ -578,12 +564,11 @@ class MetricSpace:
     # -- Monte Carlo ball volume -------------------------------------------------
 
     def ball_volume(self, x: Sequence[float], r: float,
-                    n_samples: int = 400, seed: int = 7071,
-                    membership_relax: float = 3.0) -> VolumeResult:
+                    n_samples: int = 400, seed: int = 7071) -> VolumeResult:
         """MC volume of the ball of radius r; membership biased to over-count.
 
         All samples are drawn first; their membership comes from one batched
-        feasibility solve at scale r, with reach membership_relax * tol * r.
+        feasibility solve at scale r, with reach _MEMBERSHIP_RELAX * _TOL * r.
         That reach is the same in every coordinate, while the dilations
         stretch coordinate i by r**sigma_i, so the hit rate is not
         dilation-invariant when some sigma_i != 1: from the origin the
@@ -595,14 +580,13 @@ class MetricSpace:
             raise ValueError(f"r must be positive and finite, got {r}")
         if n_samples < 1:
             raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-        cfg = self.config
         rng = random.Random(seed)
         B = self.box_bounds(x, r)
         box_volume = math.prod(2.0 * b for b in B)
-        reach = membership_relax * cfg.tol * r
+        reach = _MEMBERSHIP_RELAX * _TOL * r
         samples = [[float(xi) + rng.uniform(-b, b) for xi, b in zip(x, B)]
                    for _ in range(n_samples)]
-        hits = self.feasible(x, samples, r, cfg.segment_schedule[0], rng,
+        hits = self.feasible(x, samples, r, _SEGMENT_SCHEDULE[0], rng,
                              reach).hits
         p = hits / n_samples
         est = box_volume * p

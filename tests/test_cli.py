@@ -286,6 +286,20 @@ def test_bad_metric_flag_exit_code(command, flag, value):
     assert flag in out.stderr
 
 
+@pytest.mark.parametrize("command", ["analyze", "lift", "gamma", "heat",
+                                     "ballvol"])
+def test_tol_refused_where_unread(tmp_path, capsys, command):
+    """A command that reads no --tol exits 2 on one, naming the flag and
+    the command, before any work: it used to run as without the flag and
+    record the value under the report's flags."""
+    out = tmp_path / "r.json"
+    assert run([command, "--model", model("grushin"), "--tol", "0.5",
+                "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"--tol 0.5: the {command} command" in captured.err
+    assert not captured.out and not out.exists()
+
+
 @pytest.mark.parametrize("command, value", [
     ("gamma", "a,0;0,0"), ("gamma", "nan,0;0,0"), ("gamma", "0,0;inf,0"),
     ("gamma", "1,0,0;0,0"), ("distance", "0,x;0,0"),

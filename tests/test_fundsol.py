@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
+from rockland import fundsol
 from rockland.fields import make_standard_operator, operator_transpose
 from rockland.fundsol import (
     BumpSpec,
     ExistenceError,
-    QuadratureConfig,
     SaturationEvaluator,
     _star_bump_quadrature,
     bump_jet,
@@ -270,15 +270,8 @@ def test_pole_rejected(grushin_gamma):
 
 
 def test_config_validation(grushin_gamma):
-    """Tolerances and the core radius factor must be positive and finite,
-    in the config and per call: a NaN tolerance gave a NaN Gamma with no
-    warning."""
-    with pytest.raises(ValueError, match="positive"):
-        QuadratureConfig(rel_tol=0.0)
-    for bad in ({"rel_tol": math.nan}, {"abs_tol": math.inf},
-                {"core_radius_factor": 0.0}, {"core_radius_factor": math.nan}):
-        with pytest.raises(ValueError, match="positive and finite"):
-            QuadratureConfig(**bad)
+    """A tolerance given per call must be positive and finite: a NaN
+    tolerance gave a NaN Gamma with no warning."""
     ev = grushin_gamma["ev"]
     with pytest.raises(ValueError, match="rel_tol"):
         ev.gamma_record([1.0, 0.0], [0.0, 0.5], rel_tol=math.nan)
@@ -323,12 +316,11 @@ def test_tail_doubling_stability(grushin_gamma):
 def test_tail_doubling_detects_truncated_tail(grushin, grushin_gamma):
     """An evaluator whose tails stop at |zeta| = 8 r0, with no bound for
     the rest, fails the check on every pair."""
-    from rockland import fundsol
     ev = SaturationEvaluator(grushin["lifted"], grushin["L"],
                              grushin_gamma["kernel"])
     splits, _ = fundsol._CORE_LAYOUT
     ev._layouts[fundsol._CORE_LAYOUT] = fundsol._start_panels(
-        (splits, (0.125, 1.0)), ev.config.core_radius_factor)
+        (splits, (0.125, 1.0)), fundsol._CORE_RADIUS_FACTOR)
     checks = ev.tail_doubling_check(random_pairs(random.Random(55), 5))
     assert not any(ok for _, _, ok in checks)
 
@@ -454,7 +446,6 @@ def test_gamma_values_match_golden(grushin_gamma):
     with open(path) as fh:
         data = json.load(fh)
     ev = grushin_gamma["ev"]
-    cfg = ev.config
     y = data["y"]
     for row in data["values"]:
         word, x = tuple(row["word"]), row["x"]
@@ -466,7 +457,7 @@ def test_gamma_values_match_golden(grushin_gamma):
         if not any(issubclass(w.category, IntegrationWarning)
                    for w in caught):
             assert rec.error_bound <= max(
-                cfg.abs_tol, cfg.rel_tol * abs(rec.value)), row
+                fundsol._ABS_TOL, fundsol._REL_TOL * abs(rec.value)), row
         miss = abs(rec.value - row["value"])
         assert row.get("warned") or miss <= 1e-10 * abs(row["value"]) \
             or miss <= rec.error_bound + row["error_bound"], row
@@ -489,10 +480,11 @@ def test_left_inverse_matches_pointwise_sum(grushin_gamma, bump, y):
     assert residual == pytest.approx(abs(total + bump(y)), abs=1e-10)
 
 
-def test_gamma_batch_warns_without_convergence(grushin, grushin_gamma):
+def test_gamma_batch_warns_without_convergence(grushin, grushin_gamma,
+                                               monkeypatch):
+    monkeypatch.setattr(fundsol, "_MAX_BISECTIONS", 10)
     ev = SaturationEvaluator(grushin["lifted"], grushin["L"],
-                             grushin_gamma["kernel"],
-                             QuadratureConfig(max_subdivisions=10))
+                             grushin_gamma["kernel"])
     with pytest.warns(IntegrationWarning, match="panel rule"):
         ev.gamma_batch([[1.0, 0.0], [1e-3, 0.0]], [0.0, 0.0], rel_tol=1e-14)
 

@@ -12,10 +12,10 @@ import pytest
 
 from flow_reference import SegmentChainFlow, flow_maps
 from grushin_reference import grushin_ball_volume, grushin_distance_from_origin
+from rockland import metric
 from rockland.fields import DilationFamily, PolyVectorField
 from rockland.metric import (
     ControlPath,
-    DistanceConfig,
     DistanceResult,
     MetricSpace,
     derivative_words,
@@ -199,32 +199,11 @@ def test_distance_brackets_grushin_closed_form(grushin_metric):
         assert res.upper >= d * (1.0 - 1e-6), (p, q, res, d)
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("segment_schedule", (), r"segment_schedule .*\(\)"),
-    ("segment_schedule", (4, 0), r"segment_schedule .*\(4, 0\)"),
-    ("segment_schedule", [4, 8], r"segment_schedule .*\[4, 8\]"),
-    ("segment_schedule", (4, 2.5), r"segment_schedule .*\(4, 2\.5\)"),
-    ("starts", 0, r"starts .*0"),
-    ("maxiter", -1, r"maxiter .*-1"),
-    ("max_doublings", 0, r"max_doublings .*0"),
-    ("tol", 0.0, r"tol .*0\.0"),
-    ("tol", math.inf, r"tol .*inf"),
-    ("reach_tol", -1e-9, r"reach_tol .*-1e-09"),
-    ("reach_tol", math.nan, r"reach_tol .*nan"),
-])
-def test_distance_config_rejects_bad_values(field, value, message):
-    """A config that would end a search in an IndexError, an empty argmin
-    or a stagnation report is refused up front, naming field and value."""
-    with pytest.raises(ValueError, match=message):
-        DistanceConfig(**{field: value})
-
-
-def test_distance_config_accepts_edges(grushin):
-    """The least values allowed are accepted, and one start on one segment
-    still finds d((0, 0), (1, 0)) = 1."""
-    DistanceConfig(segment_schedule=(1,), starts=1, maxiter=0, max_doublings=1)
-    cfg = DistanceConfig(segment_schedule=(1,), starts=1)
-    space = MetricSpace(grushin["gens"], grushin["delta"], cfg)
+def test_distance_config_accepts_edges(grushin, monkeypatch):
+    """One start on one segment still finds d((0, 0), (1, 0)) = 1."""
+    monkeypatch.setattr(metric, "_SEGMENT_SCHEDULE", (1,))
+    monkeypatch.setattr(metric, "_STARTS", 1)
+    space = MetricSpace(grushin["gens"], grushin["delta"])
     res = space.distance([0.0, 0.0], [1.0, 0.0])
     assert res.lower <= res.upper and abs(res.upper - 1.0) <= 1e-3
 

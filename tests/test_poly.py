@@ -15,9 +15,9 @@ from rockland.poly import (
     poly_eval,
     poly_mul,
     substitute,
+    substitute_many,
     to_string,
 )
-from rockland.lifting import compose_map
 
 
 def x(i, n=2):
@@ -161,14 +161,15 @@ def test_substitute_composes():
 
 
 def test_compose_map_equals_substitute_each():
-    """One composition of a whole map shares the images' powers and still
-    equals substituting component by component, term order included."""
+    """substitute_many composes a whole map, sharing the images' powers,
+    and still equals substituting component by component, term order
+    included."""
     rng = random.Random(707)
     for _ in range(20):
         n, m = rng.randint(2, 4), rng.randint(2, 4)
         f = [random_poly(rng, n, max_deg=4, terms=5) for _ in range(3)]
         images = random_images(rng, n, m)
-        got = compose_map(f, images)
+        got = substitute_many(f, images)
         want = [substitute(fi, images) for fi in f]
         assert got == want
         assert [list(g.terms.items()) for g in got] == \
