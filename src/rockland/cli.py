@@ -37,13 +37,14 @@ from .fundsol import (
 from .kernels import heisenberg_gauge_kernel
 from .liealg import generate_lie_algebra, hormander_rank, nilpotency_step
 from .lifting import build_lifting, lift_identity_check, saturable_check
-from .metric import MetricSpace
+from .metric import _TOL, MetricSpace
 from .model import ModelParseError, ModelSpec, load_model
 from .poly import Poly
 
 SCHEMA_VERSION = "2"
 
-DEFAULTS = {"tol": 1e-3, "seed": 0, "samples": 200, "radius": 1.0}
+# "tol" is the library's own default distance tolerance
+DEFAULTS = {"tol": _TOL, "seed": 0, "samples": 200, "radius": 1.0}
 
 VERIFY_TOLS = {
     "calibration": 1e-3,

@@ -27,6 +27,7 @@ from .poly import (
     graded_components,
     poly_diff,
     poly_eval,
+    poly_sum,
     to_string,
 )
 
@@ -142,11 +143,8 @@ def field_apply(X: PolyVectorField, u: Poly) -> Poly:
     """X applied to u: Sum_i p_i * du/dx_i, exact."""
     if u.nvars != X.nvars:
         raise ValueError("dimension mismatch")
-    out = Poly.zero(X.nvars)
-    for i, p in enumerate(X.coeffs):
-        if not p.is_zero():
-            out = out + p * poly_diff(u, i)
-    return out
+    return poly_sum(X.nvars, (p * poly_diff(u, i)
+                              for i, p in enumerate(X.coeffs) if p.terms))
 
 
 def chain_jet(fields: Sequence[PolyVectorField],
@@ -280,13 +278,13 @@ class OperatorSpec:
         return self.fields[0].nvars
 
     def apply(self, u: Poly) -> Poly:
-        out = Poly.zero(self.nvars)
+        words = []
         for c, I in self.terms:
             v = u
             for i in reversed(I):
                 v = field_apply(self.fields[i], v)
-            out = out + v * c
-        return out
+            words.append(v * c)
+        return poly_sum(self.nvars, words)
 
     def with_fields(self, new_fields: Sequence[PolyVectorField]) -> "OperatorSpec":
         """Same formal words over a replacement field list (used for lifting)."""

@@ -53,11 +53,11 @@ class _RationalSpan:
     """Incremental row-reduced span of exact coefficient vectors.
 
     The one exact elimination of the package.  A vector maps keys to nonzero
-    Fractions; the keys of one span must be mutually comparable (the least
-    key of a row is its pivot).  Each reduced row also keeps its combination
-    of the inserted vectors, so the span answers three questions: whether a
-    vector is new (`insert`), the dimension (`rank`) and the exact
-    coordinates of a vector in the inserted vectors (`coords`).
+    rationals (int or Fraction); the keys of one span must be mutually
+    comparable (the least key of a row is its pivot).  Each reduced row also
+    keeps its combination of the inserted vectors, so the span answers three
+    questions: whether a vector is new (`insert`), the dimension (`rank`) and
+    the exact coordinates of a vector in the inserted vectors (`coords`).
     """
 
     def __init__(self) -> None:
@@ -173,12 +173,18 @@ def generate_lie_algebra(fields: Sequence[PolyVectorField],
         is_gen.append(True)
 
     max_degree = max(delta.sigma)
+    # [X_a, X_b] flattened, for each a < b whose bracket is nonzero.  An
+    # element older than the frontier has a smaller index than every member,
+    # so b > a brackets each pair once (the reversed pair inside the frontier
+    # adds nothing to the span); a pair whose degrees add up past max_degree
+    # brackets to zero
+    brackets: Dict[Tuple[int, int], Dict[Key, Fraction]] = {}
     frontier = list(range(len(elements)))
     while frontier:
         new_frontier: List[int] = []
         for a in range(len(elements)):
             for b in frontier:
-                if a == b:
+                if b <= a:
                     continue
                 Xa, Xb = elements[a], elements[b]
                 deg = Xa.declared_degree + Xb.declared_degree
@@ -191,7 +197,8 @@ def generate_lie_algebra(fields: Sequence[PolyVectorField],
                 if nu is None or nu != deg:
                     raise ValueError("bracket of homogeneous fields failed certification; "
                                      "internal inconsistency")
-                if span.insert(_flatten(Z)):
+                vec = brackets[(a, b)] = _flatten(Z)
+                if span.insert(vec):
                     elements.append(PolyVectorField(Z.nvars, Z.coeffs, nu))
                     is_gen.append(False)
                     new_frontier.append(len(elements) - 1)
@@ -208,10 +215,15 @@ def generate_lie_algebra(fields: Sequence[PolyVectorField],
     N = len(W)
     for i in range(N):
         for j in range(i + 1, N):
-            Z = commutator(W[i], W[j])
-            coords = span.coords(_flatten(Z))
+            a, b = order[i], order[j]
+            vec = brackets.get((min(a, b), max(a, b)))
+            if vec is None:
+                continue
+            coords = span.coords(vec)
             if coords is None:
                 raise ValueError("bracket escapes the computed span; closure bug")
+            if a > b:  # [W_i, W_j] = -[X_b, X_a]
+                coords = [-c for c in coords]
             for k in range(N):
                 c = coords[order[k]]
                 if c != 0:

@@ -44,8 +44,8 @@ from .fields import (
 )
 from .liealg import (LieBasis, StructureConstants, _RationalSpan, hormander_rank,
                      nilpotency_step)
-from .poly import (Poly, embed, is_graded_homogeneous, poly_diff, poly_eval,
-                   substitute, substitute_many, to_string)
+from .poly import (Poly, Scalar, embed, is_graded_homogeneous, poly_diff,
+                   poly_eval, poly_sum, substitute, substitute_many, to_string)
 
 MAX_BCH_STEP = 6
 
@@ -86,8 +86,8 @@ def _dynkin_table(step: int) -> Dict[Tuple[int, ...], Fraction]:
 def bch_product(sc: StructureConstants, step: int, a: Sequence, b: Sequence) -> list:
     """Truncated BCH product in exponential coordinates.
 
-    Entries of a and b may be Fractions (numeric product) or Polys (symbolic
-    group law).  Exact in either case.
+    The entries of a and b are all rationals (numeric product) or all Polys
+    of one space (symbolic group law).  Exact in either case.
     """
     if step > MAX_BCH_STEP:
         raise ValueError(
@@ -109,14 +109,16 @@ def bch_product(sc: StructureConstants, step: int, a: Sequence, b: Sequence) -> 
         nested[word] = out
         return out
 
-    result: list = None
+    # each coordinate's terms over the Dynkin words, summed in word order
+    cols: List[list] = [[] for _ in range(sc.N)]
     for word, coeff in table.items():
         if len(word) >= 2 and word[-1] == word[-2]:
             continue  # innermost bracket vanishes
-        v = bracket_word(word)
-        contrib = [coeff * e for e in v]
-        result = contrib if result is None else [x + y for x, y in zip(result, contrib)]
-    return result
+        for col, e in zip(cols, bracket_word(word)):
+            col.append(coeff * e)
+    if isinstance(vecs[0][0], Poly):
+        return [poly_sum(vecs[0][0].nvars, col) for col in cols]
+    return [sum(col[1:], col[0]) for col in cols]
 
 
 # -- exact flows --------------------------------------------------------------
@@ -187,7 +189,7 @@ def poly_det(mat: List[List[Poly]]) -> Poly:
     return minor(tuple(range(n)))
 
 
-def constant_value(p: Poly) -> Optional[Fraction]:
+def constant_value(p: Poly) -> Optional[Scalar]:
     """The value of p if p is a constant polynomial, else None."""
     if not p.terms:
         return Fraction(0)
@@ -208,20 +210,19 @@ def invert_graded_map(maps: Sequence[Poly], in_degrees: Sequence[int],
     iteration, verified by exact composition both ways.
     """
     N = len(maps)
-    zero = Poly.zero(N)
     span = _RationalSpan()  # the rows of the linear part A
     h = []
     for i, p in enumerate(maps):
-        row: Dict[int, Fraction] = {}
-        rest = zero
+        row: Dict[int, Scalar] = {}
+        rest: Dict[Tuple[int, ...], Scalar] = {}
         for mono, c in p.terms.items():
             if sum(mono) == 1:
                 k = next(idx for idx, e in enumerate(mono) if e == 1)
                 if in_degrees[k] == out_degrees[i]:
                     row[k] = c
                     continue
-            rest = rest + Poly(N, {mono: c})
-        h.append(rest)
+            rest[mono] = c
+        h.append(Poly._of(N, rest))
         if not span.insert(row):
             raise ValueError("graded map has singular linear part; not invertible")
     # row k of A^-1 holds the coordinates of e_k in the rows of A
@@ -229,7 +230,7 @@ def invert_graded_map(maps: Sequence[Poly], in_degrees: Sequence[int],
     zvars = Poly.variables(N)
 
     def apply_ainv(vec: Sequence[Poly]) -> List[Poly]:
-        return [sum((a * vec[k] for k, a in enumerate(row) if a), start=zero)
+        return [poly_sum(N, (a * vec[k] for k, a in enumerate(row) if a))
                 for row in Ainv]
 
     cur = apply_ainv(zvars)
@@ -596,8 +597,8 @@ class SliceMaps:
 
     psi: Tuple[Poly, ...]   # p polynomials in (x, y, xi)
     phi: Tuple[Poly, ...]
-    det_psi: Fraction
-    det_phi: Fraction
+    det_psi: Scalar
+    det_phi: Scalar
 
     def psi_at(self, x: Sequence, y: Sequence, xi: Sequence) -> list:
         point = list(x) + list(y) + list(xi)
@@ -636,7 +637,7 @@ def slice_diffeos(lifted: LiftedSystem) -> SliceMaps:
     b = substitute_many(lifted.mult, a + lift_pt(x, zero_xi))
     phi = tuple(b[n:])
 
-    def xi_jacobian_det(maps: Tuple[Poly, ...]) -> Fraction:
+    def xi_jacobian_det(maps: Tuple[Poly, ...]) -> Scalar:
         J = [[poly_diff(m, 2 * n + j) for j in range(p)] for m in maps]
         det = constant_value(poly_det(J))
         if det is None or abs(det) != 1:

@@ -1,10 +1,13 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a finite map from monomial exponent tuples to Fraction
+A polynomial is a finite map from monomial exponent tuples to rational
 coefficients, together with the ambient number of variables.  The ambient
 dimension is carried explicitly so that values living on different spaces
-cannot be mixed silently.  Zero coefficients are never stored, which makes
-equality testing exact and canonical.
+cannot be mixed silently.  Every stored coefficient is canonical: an int when
+its denominator is 1, a Fraction otherwise, never zero and never a float.
+Zero coefficients are never stored, which makes equality testing exact and
+canonical; an int compares and hashes equal to the equal Fraction, and most
+coefficients are integers, whose arithmetic is far cheaper.
 
 Beyond ring arithmetic the module provides the dilation-graded degree
 bookkeeping used throughout the package: a monomial x^alpha has graded degree
@@ -28,9 +31,14 @@ Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
-def _accumulate(out: Dict[Exponent, Fraction],
-                terms: Iterable[Tuple[Exponent, Fraction]]) -> None:
-    """Add distinct monomials' terms into out in place.
+def _canon(c: Scalar) -> Scalar:
+    """c as a stored coefficient: an int when its denominator is 1."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _accumulate(out: Dict[Exponent, Scalar],
+                terms: Iterable[Tuple[Exponent, Scalar]]) -> None:
+    """Add distinct monomials' canonical terms into out in place.
 
     A coefficient that cancels is deleted at once, so out keeps the order in
     which a running sum of whole polynomials would hold its monomials (a
@@ -41,7 +49,7 @@ def _accumulate(out: Dict[Exponent, Fraction],
         if mono in out:
             c = out[mono] + coeff
             if c:
-                out[mono] = c
+                out[mono] = _canon(c)
             else:
                 del out[mono]
         else:
@@ -49,33 +57,35 @@ def _accumulate(out: Dict[Exponent, Fraction],
 
 
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with canonical rational coefficients:
+    int when the denominator is 1, Fraction otherwise."""
 
     # _float_terms, set on the first float evaluation, holds each term as
     # (float coefficient, ((variable, exponent), ...) of its nonzero exponents)
     __slots__ = ("nvars", "terms", "_hash", "_float_terms")
 
     nvars: int
-    terms: Dict[Exponent, Fraction]
+    terms: Dict[Exponent, Scalar]
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar]):
         if nvars < 0:
             raise ValueError(f"nvars must be non-negative, got {nvars}")
-        clean: Dict[Exponent, Fraction] = {}
+        clean: Dict[Exponent, Scalar] = {}
         for mono, coeff in terms.items():
             if len(mono) != nvars:
                 raise ValueError(f"monomial {mono} has wrong length for nvars={nvars}")
             c = Fraction(coeff)
             if c != 0:
-                clean[mono] = c
+                clean[mono] = _canon(c)
         _set_nvars(self, nvars)
         _set_terms(self, clean)
         _set_hash(self, None)
 
     @classmethod
-    def _of(cls, nvars: int, clean: Dict[Exponent, Fraction]) -> "Poly":
+    def _of(cls, nvars: int, clean: Dict[Exponent, Scalar]) -> "Poly":
         """Wrap clean without copying or checking it: every key must be a
-        monomial of length nvars and every value a nonzero Fraction."""
+        monomial of length nvars and every value a nonzero int, or a
+        Fraction whose denominator is not 1 (see _canon)."""
         self = object.__new__(cls)
         _set_nvars(self, nvars)
         _set_terms(self, clean)
@@ -93,7 +103,7 @@ class Poly:
 
     @staticmethod
     def const(nvars: int, value: Scalar) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: Fraction(value)})
+        return Poly(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def var(nvars: int, idx: int) -> "Poly":
@@ -102,7 +112,7 @@ class Poly:
             raise ValueError(f"variable index {idx} out of range for nvars={nvars}")
         exp = [0] * nvars
         exp[idx] = 1
-        return Poly._of(nvars, {tuple(exp): Fraction(1)})
+        return Poly._of(nvars, {tuple(exp): 1})
 
     @staticmethod
     def variables(nvars: int) -> Tuple["Poly", ...]:
@@ -113,7 +123,7 @@ class Poly:
         exp = tuple(exponents)
         if len(exp) != nvars or any(e < 0 for e in exp):
             raise ValueError(f"bad exponent tuple {exp} for nvars={nvars}")
-        return Poly(nvars, {exp: Fraction(coeff)})
+        return Poly(nvars, {exp: coeff})
 
     # -- ring operations -----------------------------------------------------
 
@@ -144,24 +154,23 @@ class Poly:
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if not isinstance(other, Poly):
-            c = Fraction(other)
+            c = _canon(Fraction(other))
             if not c:
                 return Poly._of(self.nvars, {})
             return Poly._of(self.nvars,
-                            {m: c * v for m, v in self.terms.items()})
+                            {m: _canon(c * v) for m, v in self.terms.items()})
         self._check_same_space(other)
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Scalar] = {}
         right = other.terms.items()
+        get = out.get
         for ma, ca in self.terms.items():
             for mb, cb in right:
                 mono = tuple(map(add, ma, mb))
-                if mono in out:
-                    out[mono] += ca * cb
-                else:
-                    out[mono] = ca * cb
+                c = get(mono)
+                out[mono] = ca * cb if c is None else c + ca * cb
         # a coefficient may pass through zero and come back, so zeros are
         # dropped only now, keeping each monomial where it first appeared
-        return Poly._of(self.nvars, {m: c for m, c in out.items() if c})
+        return Poly._of(self.nvars, {m: _canon(c) for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -217,11 +226,11 @@ def poly_diff(a: Poly, i: int) -> Poly:
     if not 0 <= i < a.nvars:
         raise ValueError(f"variable index {i} out of range for nvars={a.nvars}")
     # lowering x_i in the monomials that hold it is one-to-one
-    out: Dict[Exponent, Fraction] = {}
+    out: Dict[Exponent, Scalar] = {}
     for mono, coeff in a.terms.items():
         e = mono[i]
         if e:
-            out[mono[:i] + (e - 1,) + mono[i + 1:]] = coeff * e
+            out[mono[:i] + (e - 1,) + mono[i + 1:]] = _canon(coeff * e)
     return Poly._of(a.nvars, out)
 
 
@@ -328,7 +337,7 @@ def graded_components(a: Poly, sigma: Sequence[int]) -> Dict[int, Poly]:
     """Split a into graded-homogeneous parts keyed by graded degree."""
     if len(sigma) != a.nvars or any(s <= 0 for s in sigma):
         raise ValueError(f"bad weight vector {tuple(sigma)} for nvars={a.nvars}")
-    buckets: Dict[int, Dict[Exponent, Fraction]] = {}
+    buckets: Dict[int, Dict[Exponent, Scalar]] = {}
     for mono, coeff in a.terms.items():
         d = graded_degree_of_monomial(mono, sigma)
         buckets.setdefault(d, {})[mono] = coeff
@@ -366,7 +375,7 @@ def substitute_many(polys: Sequence[Poly],
     one = (0,) * nv
     out = []
     for a in polys:
-        acc: Dict[Exponent, Fraction] = {}
+        acc: Dict[Exponent, Scalar] = {}
         for mono, coeff in a.terms.items():
             # the product of the images' powers; a zero factor drops the term
             term = None
@@ -381,10 +390,24 @@ def substitute_many(polys: Sequence[Poly],
             if term is None:
                 _accumulate(acc, ((one, coeff),))
             elif term.terms:
-                _accumulate(acc, ((m, coeff * c)
+                _accumulate(acc, ((m, _canon(coeff * c))
                                   for m, c in term.terms.items()))
         out.append(Poly._of(nv, acc))
     return out
+
+
+def poly_sum(nvars: int, polys: Iterable[Poly]) -> Poly:
+    """The sum of polys, accumulated into one dict.
+
+    Equal, term order included, to the running sum zero + p1 + p2 + ...,
+    without copying the running total once per summand.
+    """
+    out: Dict[Exponent, Scalar] = {}
+    for p in polys:
+        if p.nvars != nvars:
+            raise ValueError(f"dimension mismatch: {p.nvars} vs {nvars}")
+        _accumulate(out, p.terms.items())
+    return Poly._of(nvars, out)
 
 
 def embed(a: Poly, new_nvars: int, var_map: Sequence[int] | None = None) -> Poly:
@@ -397,14 +420,14 @@ def embed(a: Poly, new_nvars: int, var_map: Sequence[int] | None = None) -> Poly
         var_map = list(range(a.nvars))
     if len(var_map) != a.nvars or any(not 0 <= j < new_nvars for j in var_map):
         raise ValueError("bad variable map for embedding")
-    out: Dict[Exponent, Fraction] = {}
+    out: Dict[Exponent, Scalar] = {}
     for mono, coeff in a.terms.items():
         new = [0] * new_nvars
         for i, e in enumerate(mono):
             new[var_map[i]] += e
         key = tuple(new)
         out[key] = out[key] + coeff if key in out else coeff
-    return Poly._of(new_nvars, {m: c for m, c in out.items() if c})
+    return Poly._of(new_nvars, {m: _canon(c) for m, c in out.items() if c})
 
 
 def depends_on(a: Poly, i: int) -> bool:
@@ -417,12 +440,12 @@ def _grlex_key(mono: Exponent) -> Tuple:
     return (sum(mono), mono)
 
 
-def sorted_terms(a: Poly) -> Iterable[Tuple[Exponent, Fraction]]:
+def sorted_terms(a: Poly) -> Iterable[Tuple[Exponent, Scalar]]:
     """Terms in canonical (descending graded-lex) order."""
     return sorted(a.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
 
-def _format_coeff(c: Fraction) -> str:
+def _format_coeff(c: Scalar) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 

@@ -189,7 +189,8 @@ GOLDEN_RESULTS = os.path.join(os.path.dirname(__file__), "data",
                               "report_results.json")
 
 
-@pytest.mark.parametrize("name", ["chain_r5", "three_var_step5"])
+@pytest.mark.parametrize("name", ["chain_r5", "three_var_step5", "grushin_quartic",
+                                  "monomial_weight", "quartic_k2"])
 def test_report_results_match_golden(tmp_path, name):
     """The exact group law, theta, its inverse, the lifted fields and the
     shear stay the strings committed in tests/data/report_results.json, and

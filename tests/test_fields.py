@@ -6,8 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from poly_reference import running_sum_field_apply, running_sum_operator_apply, small_polys
 from rockland.fields import (
     DilationFamily,
     OperatorSpec,
@@ -49,6 +52,38 @@ def test_field_apply():
     assert field_apply(Y, Poly.var(2, 1)) == Poly.var(2, 0)
     Z = fld(3, [Poly.zero(3), Poly.var(3, 0), Poly.var(3, 1)])
     assert field_apply(Z, Poly.var(3, 2)) == Poly.var(3, 1)
+
+
+def _same_terms(got, want):
+    """Equal polynomials with their terms stored in the same order."""
+    return got == want and list(got.terms.items()) == list(want.terms.items())
+
+
+def test_field_apply_cancel_and_return_keeps_running_sum_order():
+    """x1*x2*x3 appears, cancels and comes back: like the running sum, the
+    in-place sum stores it last."""
+    x1, x2, x3 = Poly.variables(3)
+    X = fld(3, [x1 + x2, -x2, x3], 1)
+    got = field_apply(X, x1 * x2 * x3)
+    assert list(got.terms) == [(0, 2, 1), (1, 1, 1)]
+    assert _same_terms(got, running_sum_field_apply(X, x1 * x2 * x3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 3))
+def test_in_place_sums_keep_running_sum_order(data, n):
+    """field_apply and OperatorSpec.apply store the running sums' terms in
+    the running sums' order, on small inputs whose terms often cancel."""
+    X, Y = (fld(n, [data.draw(small_polys(n, max_terms=3)) for _ in range(n)], 1)
+            for _ in range(2))
+    u = data.draw(small_polys(n, max_terms=5, max_exp=3))
+    assert _same_terms(field_apply(X, u), running_sum_field_apply(X, u))
+    words = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=2, max_size=2),
+                               min_size=1, max_size=4))
+    coeffs = data.draw(st.lists(st.fractions(-2, 2, max_denominator=2).filter(bool),
+                                min_size=len(words), max_size=len(words)))
+    L = OperatorSpec((X, Y), tuple((c, tuple(w)) for c, w in zip(coeffs, words)), 2)
+    assert _same_terms(L.apply(u), running_sum_operator_apply(L, u))
 
 
 def test_commutator_examples():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from liealg_reference import (_invert_rational_matrix, _solve_in_basis,
                               check_jacobi_dense, nilpotency_step_dense)
+from poly_reference import assert_canonical
 from rockland.fields import DilationFamily, PolyVectorField, commutator
 from rockland.liealg import (StructureConstants, _check_jacobi, _flatten, _RationalSpan,
                              generate_lie_algebra, hormander_rank, nilpotency_step)
@@ -128,6 +129,24 @@ def _algebras():
     models = [load_model(p) for p in sorted(glob.glob(os.path.join(MODELS, "*.model")))]
     models += [parse_model(t) for t in _catalogue_texts(3, 3)]
     return [generate_lie_algebra(list(m.fields), m.delta) for m in models]
+
+
+def test_closure_brackets_each_pair_once(monkeypatch):
+    """generate_lie_algebra brackets each unordered pair of fields at most
+    once, the structure constants included, on every bundled model."""
+    import rockland.liealg as liealg
+    pairs = []
+    real = liealg.commutator
+
+    def counted(X, Y):
+        pairs.append(frozenset((X, Y)))
+        return real(X, Y)
+    monkeypatch.setattr(liealg, "commutator", counted)
+    for path in sorted(glob.glob(os.path.join(MODELS, "*.model"))):
+        pairs.clear()
+        m = load_model(path)
+        basis, _ = generate_lie_algebra(list(m.fields), m.delta)
+        assert len(pairs) == len(set(pairs)) <= basis.N * (basis.N - 1) // 2, path
 
 
 def test_nilpotency_step_matches_dense_reference():
@@ -284,7 +303,8 @@ def test_span_inverse_matches_dense_inverse(data, N):
         return
     got = invert_graded_map(linear(A), (1,) * N, (1,) * N)
     assert got == linear(want)
-    assert all(type(c) is Fraction for p in got for c in p.terms.values())
+    for p in got:
+        assert_canonical(p)
 
 
 def test_structure_constants_match_dense_solve():

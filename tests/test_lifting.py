@@ -1,13 +1,16 @@
 """Group construction, lifting, slice maps and the saturability condition."""
 
+import glob
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from liealg_reference import _invert_rational_matrix
+from poly_reference import running_sum_bch_product
 from rockland.fields import DilationFamily, PolyVectorField, certify_homogeneity
-from rockland.liealg import generate_lie_algebra, hormander_rank
+from rockland.liealg import generate_lie_algebra, hormander_rank, nilpotency_step
 from rockland.lifting import (
     GroupLaw,
     HomNorm,
@@ -22,7 +25,10 @@ from rockland.lifting import (
     saturable_check,
     slice_diffeos,
 )
+from rockland.model import load_model
 from rockland.poly import Poly, poly_eval, substitute, substitute_many
+
+MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
 
 def rational_point(rng, n, lo=-3, hi=3):
@@ -53,6 +59,25 @@ def test_bch_inverse(three_var_step5):
         a = rational_point(rng, sc.N)
         na = [-v for v in a]
         assert all(v == 0 for v in bch_product(sc, 5, a, na))
+
+
+def test_bch_product_keeps_running_sum_order():
+    """On every bundled model's algebra the symbolic group law stores the
+    running sum's terms in its order, and the numeric product is the running
+    sum's at seeded rational points."""
+    rng = random.Random(31)
+    for path in sorted(glob.glob(os.path.join(MODELS, "*.model"))):
+        m = load_model(path)
+        basis, sc = generate_lie_algebra(list(m.fields), m.delta)
+        step = nilpotency_step(sc, basis.degrees)
+        two = Poly.variables(2 * sc.N)
+        a, b = list(two[:sc.N]), list(two[sc.N:])
+        got = bch_product(sc, step, a, b)
+        want = running_sum_bch_product(sc, step, a, b)
+        assert [list(p.terms.items()) for p in got] == \
+            [list(p.terms.items()) for p in want], path
+        a, b = rational_point(rng, sc.N), rational_point(rng, sc.N)
+        assert bch_product(sc, step, a, b) == running_sum_bch_product(sc, step, a, b)
 
 
 def test_bch_step_cap(grushin):

@@ -5,15 +5,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poly_reference import SMALL_COEFF, assert_canonical, small_polys
+from rockland.fields import OperatorSpec, PolyVectorField, field_apply
 from rockland.poly import (
     CompiledPolys,
     Poly,
+    embed,
     graded_components,
     is_graded_homogeneous,
     poly_diff,
     poly_eval,
     poly_mul,
+    poly_sum,
     substitute,
     substitute_many,
     to_string,
@@ -206,19 +212,15 @@ def test_substitute_keeps_running_sum_term_order():
             list(want.terms.items())
 
 
-def assert_clean(p):
-    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
-
-
 def test_cancellation_stores_no_zero():
     """Sums, differences, products and substitutions that cancel store no
-    zero coefficient, and every stored coefficient is a Fraction."""
+    zero coefficient, and every stored coefficient is canonical."""
     a, b = x(0), x(1)
     assert (a + b) - (a + b) == Poly.zero(2)
     assert ((a + b) * (a - b) + b ** 2 - a ** 2).terms == {}
     partial = (a + b) * (a - b) + b ** 2
     assert partial.terms == {(2, 0): Fraction(1)}
-    assert_clean(partial)
+    assert_canonical(partial)
     assert substitute(Poly.var(2, 0) - Poly.var(2, 1), [a * b, b * a]).terms == {}
     assert (a * 0).terms == {} and (0 * a).terms == {}
     rng = random.Random(909)
@@ -228,9 +230,35 @@ def test_cancellation_stores_no_zero():
         for r in (p - p, p + q - q, p * q - q * p, (p + q) * (p - q)
                   - p * p + q * q, p * 2, p * Fraction(1, 3), -p, p ** 3,
                   substitute(p, [Poly.var(n, i) for i in range(n)]) - p):
-            assert_clean(r)
+            assert_canonical(r)
         assert (p - p).terms == {}
         assert (p + q - q) == p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 3))
+def test_every_stored_coefficient_is_canonical(data, n):
+    """Every coefficient that the ring operations, poly_diff,
+    substitute_many, embed, poly_sum, field_apply and OperatorSpec.apply
+    store is a nonzero int, or a Fraction whose denominator is not 1."""
+    p, q, r = (data.draw(small_polys(n)) for _ in range(3))
+    c = data.draw(st.one_of(SMALL_COEFF, st.integers(-3, 3)))
+    images = [data.draw(small_polys(2, max_terms=3)) for _ in range(n)]
+    var_map = [data.draw(st.integers(0, 1)) for _ in range(n)]
+    X = PolyVectorField(n, tuple(data.draw(small_polys(n, max_terms=2)) for _ in range(n)), 1)
+    Y = PolyVectorField(n, tuple(data.draw(small_polys(n, max_terms=2)) for _ in range(n)), 1)
+    words = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=2, max_size=2),
+                               min_size=1, max_size=3))
+    L = OperatorSpec((X, Y), tuple((Fraction(k + 1, 2), tuple(w))
+                                   for k, w in enumerate(words)), 2)
+    results = [p + q, p - q, -p, p * q, p * c, c - p, p + c, p ** 2,
+               p * q - q * p + r, Poly.const(n, c), Poly.monomial(n, (1,) * n, c),
+               p * 2.0, Poly(n, {(0,) * n: 1.5, (1,) * n: -4.0}),
+               poly_sum(n, [p, q, -p, r]), embed(p, 2, var_map),
+               *substitute_many([p, q], images), *(poly_diff(p, i) for i in range(n)),
+               field_apply(X, p), L.apply(p)]
+    for res in results:
+        assert_canonical(res)
 
 
 def test_serialization_deterministic():
