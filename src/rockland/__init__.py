@@ -3,7 +3,7 @@ systems: exact polynomial algebra, nilpotent Lie algebra generation, lifting
 to a homogeneous group, generalized Rockland operators, global fundamental
 solutions by saturation, and the associated control metric."""
 
-from .poly import Poly, graded_components, is_graded_homogeneous, poly_diff, poly_eval, poly_mul
+from .poly import Poly, graded_components, is_graded_homogeneous, poly_diff, poly_eval
 from .fields import (
     DilationFamily,
     OperatorSpec,
@@ -13,7 +13,6 @@ from .fields import (
     commutator,
     field_apply,
     heat_extend,
-    homogeneous_dimension,
     make_standard_operator,
     multiindex_weight,
     operator_transpose,
@@ -26,12 +25,11 @@ from .lifting import (
     build_group,
     build_lifting,
     exp_flow,
-    hom_norm_eval,
     lift_identity_check,
     saturable_check,
     slice_diffeos,
 )
-from .kernels import KernelSpec, group_gauge, heisenberg_gauge_kernel
+from .kernels import KernelSpec, heisenberg_gauge_kernel
 from .metric import (
     ControlPath,
     DistanceResult,

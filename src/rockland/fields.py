@@ -63,10 +63,6 @@ class DilationFamily:
         return [lam ** s * v for s, v in zip(self.sigma, point)]
 
 
-def homogeneous_dimension(delta: DilationFamily) -> int:
-    return delta.q
-
-
 @dataclass(frozen=True)
 class PolyVectorField:
     """First-order operator Sum_i coeffs[i] * d/dx_i."""
@@ -81,11 +77,6 @@ class PolyVectorField:
         for c in self.coeffs:
             if c.nvars != self.nvars:
                 raise ValueError("coefficient polynomial in wrong ambient space")
-
-    @staticmethod
-    def from_coeffs(coeffs: Sequence[Poly], degree: Optional[int] = None) -> "PolyVectorField":
-        coeffs = tuple(coeffs)
-        return PolyVectorField(coeffs[0].nvars, coeffs, degree)
 
     @staticmethod
     def zero(nvars: int) -> "PolyVectorField":

@@ -556,23 +556,18 @@ class SaturationEvaluator:
         self._build_integrand_maps()
         self._layouts = {layout: _start_panels(layout, _CORE_RADIUS_FACTOR)
                          for layout in (_CORE_LAYOUT, _BATCH_LAYOUT, _SPLIT_TAILS)}
-        self._sups: Dict[Tuple[str, Tuple[int, ...]], float] = {}
         self._roundings: Dict[Tuple[str, Tuple[int, ...]],
                               Tuple[float, np.ndarray]] = {}
         self._integrands: Dict[Tuple[str, Tuple[int, ...]], Callable] = {}
-        E = lifted.E
-        self._v1 = (2.0 ** lifted.p
-                    * math.prod(math.gamma(t + 1.0) for t in lifted.tau)
-                    / math.gamma(E + 1.0))
 
     # -- symbolic assembly ---------------------------------------------------
 
     def _build_integrand_maps(self) -> None:
         """G(x, y, zeta) = (y,0)^{-1} * (x, psi^{-1}(zeta)), exact polynomials.
 
-        In the zeta coordinate the fiber gauge of the group element equals
-        the gauge of zeta itself, which makes the closed-form tail bound
-        exact; the change of variable is unimodular so values are unchanged.
+        In the zeta coordinate the fiber coordinates of the group element
+        are zeta itself (checked below); the change of variable is unimodular
+        so values are unchanged.
         """
         lifted = self.lifted
         n, p = lifted.n, lifted.p
@@ -661,13 +656,6 @@ class SaturationEvaluator:
 
         return values
 
-    def _sup_bound(self, route: str, word: Tuple[int, ...]) -> float:
-        key = (route, word)
-        if key not in self._sups:
-            self._sups[key] = abs(self.kernel.calibration_constant) * \
-                self.kernel.sup_on_gauge_sphere(word, star=(route == "star"))
-        return self._sups[key]
-
     def _rounding_bound(self, route: str, word: Tuple[int, ...]
                         ) -> Tuple[float, np.ndarray]:
         """The route's rounding constants (S, D), times eps and |c|."""
@@ -684,16 +672,6 @@ class SaturationEvaluator:
         return multiindex_weight(word, self.operator.degrees)
 
     # -- core integration ------------------------------------------------------
-
-    def _tail_constants(self, route: str,
-                        word: Tuple[int, ...]) -> Tuple[int, float]:
-        """Exponent s_e and constant C of the closed-form bound C * R^s_e on
-        the fiber integral beyond radius R (xi_profile's witness)."""
-        lifted = self.lifted
-        s_e = self.operator.nu - self._word_weight(word) - lifted.q
-        t_const = self._sup_bound(route, word) * self._v1 \
-            * 2.0 ** lifted.E / (1.0 - 2.0 ** s_e)
-        return s_e, t_const
 
     def _saturate(self, route: str, word: Tuple[int, ...], xs: np.ndarray,
                   ys: np.ndarray, rel_tol: Optional[float],
@@ -797,21 +775,6 @@ class SaturationEvaluator:
         val = rec(word, [float(v) for v in x])
         return GammaRecord(val, abs(val) * step ** 2 + step ** 2, 0.0, "fd",
                            "plain", word)
-
-    def xi_profile(self, x: Sequence[float], y: Sequence[float],
-                   word: Sequence[int] = ()) -> Tuple[Callable, float, int]:
-        """One-fiber integrand profile with its tail constant and exponent.
-
-        Constructive integrability witness: |profile(z)| <= C * |z|^{s/tau}
-        for large z and the tail beyond R is below C' * R^{s + E}.
-        """
-        word = tuple(word)
-        coeffs, _ = self._fiber(np.array(x, dtype=float)[:, None],
-                                np.array(y, dtype=float)[:, None])
-        on_fiber = self._on_fiber("plain", word)
-        s_e, t_const = self._tail_constants("plain", word)
-        return (lambda z: float(on_fiber(coeffs, np.array([z]))[0][0])), \
-            t_const, s_e
 
     # -- verification harnesses --------------------------------------------------
 

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from .fields import OperatorSpec, PolyVectorField, chain_jet
-from .lifting import HomNorm, LiftedSystem, hom_norm_eval
+from .lifting import HomNorm, LiftedSystem
 from .poly import CompiledPolys, Poly, poly_diff, substitute
 
 Route = Tuple[str, Tuple[int, ...]]
@@ -111,7 +111,7 @@ def gauge_sphere_samples(N: int, D_exponents: Tuple[int, ...], n_samples: int,
     pts = []
     while len(pts) < n_samples:
         u = [rng.gauss(0.0, 1.0) for _ in range(N)]
-        lam = hom_norm_eval(norm, u)
+        lam = norm(u)
         if lam < 1e-8:
             continue
         pts.append([ui / lam ** e for ui, e in zip(u, D_exponents)])
@@ -197,7 +197,7 @@ class KernelSpec:
 
         return values
 
-    # -- sampled bounds and invariants -------------------------------------
+    # -- sampled bounds ------------------------------------------------------
 
     def _gauge_sphere_samples(self, n_samples: int, seed: int) -> np.ndarray:
         return gauge_sphere_samples(self.lifted.N, self.lifted.D_exponents,
@@ -242,27 +242,12 @@ class KernelSpec:
             raise ValueError("kernel bound sampling failed; kernel degenerate")
         return safety * s, safety * d
 
-    def check_homogeneity(self, n_samples: int = 200, seed: int = 4242) -> float:
-        """Max relative deviation from the scaling law on random samples."""
-        rng = random.Random(seed)
-        fn = self.word_evaluator()
-        z = self._gauge_sphere_samples(n_samples, seed)
-        lam = np.array([rng.uniform(0.2, 5.0) for _ in range(n_samples)])
-        zs = z * lam[:, None] ** np.array(self.lifted.D_exponents)
-        a = fn(*zs.T)
-        b = lam ** self.homogeneity_degree * fn(*z.T)
-        return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
-
     def annihilation_residual(self, op: OperatorSpec) -> Poly:
         """Exact residual of op(P^a) away from the pole; zero when op
         annihilates the kernel there (see KernelJet.residual)."""
         lifted_op = op.with_fields(self.lifted.lifted_fields)
         return KernelJet.of(lifted_op.fields, lifted_op.terms, self.base,
                             self.power).residual()
-
-
-def group_gauge(lifted: LiftedSystem) -> HomNorm:
-    return HomNorm(lifted.D_exponents)
 
 
 def heisenberg_gauge_kernel(lifted: LiftedSystem,

@@ -573,10 +573,6 @@ def _verify_lifting(L: LiftedSystem) -> None:
         if nu != L.base_fields[i].declared_degree:
             raise ValueError(f"lifted field {i + 1} is not homogeneous of the "
                              "original degree")
-    # transported law fixes the base projection of products at xi = 0 pole uses
-    # Q = q + E by construction; sanity only
-    if L.Q != L.q + L.E or L.Q <= L.q:
-        raise ValueError("lifted homogeneous dimension inconsistent")
 
 
 def lift_identity_check(L: OperatorSpec, lifted: LiftedSystem, u: Poly) -> bool:
@@ -600,14 +596,6 @@ class SliceMaps:
     det_psi: Scalar
     det_phi: Scalar
 
-    def psi_at(self, x: Sequence, y: Sequence, xi: Sequence) -> list:
-        point = list(x) + list(y) + list(xi)
-        return [poly_eval(m, point) for m in self.psi]
-
-    def phi_at(self, x: Sequence, y: Sequence, xi: Sequence) -> list:
-        point = list(x) + list(y) + list(xi)
-        return [poly_eval(m, point) for m in self.phi]
-
 
 def slice_diffeos(lifted: LiftedSystem) -> SliceMaps:
     """The xi-slice changes of variable and their (constant) Jacobians.
@@ -625,16 +613,13 @@ def slice_diffeos(lifted: LiftedSystem) -> SliceMaps:
     xi = list(allv[2 * n:])
     zero_xi = [Poly.zero(nv)] * p
 
-    def lift_pt(base: List[Poly], fibre: List[Poly]) -> List[Poly]:
-        return base + fibre
-
-    inv_y0 = substitute_many(lifted.inverse, lift_pt(y, zero_xi))
-    psi_full = substitute_many(lifted.mult, inv_y0 + lift_pt(x, xi))
+    inv_y0 = substitute_many(lifted.inverse, y + zero_xi)
+    psi_full = substitute_many(lifted.mult, inv_y0 + x + xi)
     psi = tuple(psi_full[n:])
 
-    inv_yxi = substitute_many(lifted.inverse, lift_pt(y, xi))
-    a = substitute_many(lifted.mult, lift_pt(y, zero_xi) + inv_yxi)
-    b = substitute_many(lifted.mult, a + lift_pt(x, zero_xi))
+    inv_yxi = substitute_many(lifted.inverse, y + xi)
+    a = substitute_many(lifted.mult, y + zero_xi + inv_yxi)
+    b = substitute_many(lifted.mult, a + x + zero_xi)
     phi = tuple(b[n:])
 
     def xi_jacobian_det(maps: Tuple[Poly, ...]) -> Scalar:
@@ -648,8 +633,8 @@ def slice_diffeos(lifted: LiftedSystem) -> SliceMaps:
     det_phi = xi_jacobian_det(phi)
 
     # exact identity: (y,0)^{-1} * (x, Phi(zeta)) == (y,zeta)^{-1} * (x,0)
-    lhs = substitute_many(lifted.mult, inv_y0 + lift_pt(x, list(phi)))
-    rhs = substitute_many(lifted.mult, inv_yxi + lift_pt(x, zero_xi))
+    lhs = substitute_many(lifted.mult, inv_y0 + x + list(phi))
+    rhs = substitute_many(lifted.mult, inv_yxi + x + zero_xi)
     if lhs != rhs:
         raise ValueError("slice change-of-variable identity fails; lifting bug")
     return SliceMaps(psi, phi, det_psi, det_phi)
@@ -724,10 +709,7 @@ class HomNorm:
     exponents: Tuple[int, ...]
 
     def __call__(self, v: Sequence) -> float:
-        return hom_norm_eval(self, v)
-
-
-def hom_norm_eval(norm: HomNorm, v: Sequence) -> float:
-    if len(v) != len(norm.exponents):
-        raise ValueError("dimension mismatch")
-    return float(sum(abs(float(vi)) ** (1.0 / e) for vi, e in zip(v, norm.exponents)))
+        if len(v) != len(self.exponents):
+            raise ValueError("dimension mismatch")
+        return float(sum(abs(float(vi)) ** (1.0 / e)
+                         for vi, e in zip(v, self.exponents)))

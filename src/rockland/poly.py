@@ -216,11 +216,6 @@ _set_hash = Poly._hash.__set__
 _set_float_terms = Poly._float_terms.__set__
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    """Exact product a*b."""
-    return a * b
-
-
 def poly_diff(a: Poly, i: int) -> Poly:
     """Exact partial derivative with respect to x_i (0-based index)."""
     if not 0 <= i < a.nvars:

@@ -1,5 +1,6 @@
 """Shared model systems used across the test suite."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,20 @@ def grushin():
     L = make_standard_operator("sublaplacian_power", gens, k=1)
     return {"delta": delta, "fields": [X1, X2], "basis": basis, "sc": sc,
             "lifted": lifted, "gens": gens, "L": L}
+
+
+@pytest.fixture(scope="session")
+def grushin_bent_lifting(grushin):
+    """The Grushin lifting with one base-direction coefficient of its first
+    lifted field perturbed: d1 + d3 becomes d1 + x1*d2 + d3, which is still
+    homogeneous of degree 1 under the lifted dilations."""
+    lifted = grushin["lifted"]
+    first = lifted.lifted_fields[0]
+    coeffs = list(first.coeffs)
+    coeffs[1] = coeffs[1] + Poly.var(lifted.N, 0)
+    bent = dataclasses.replace(first, coeffs=tuple(coeffs))
+    return dataclasses.replace(
+        lifted, lifted_fields=(bent,) + lifted.lifted_fields[1:])
 
 
 @pytest.fixture(scope="session")

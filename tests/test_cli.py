@@ -70,6 +70,19 @@ def test_lift_three_var_step5():
     assert run(["lift", "--model", model("three_var_step5")]) == 0
 
 
+def test_lift_reports_a_wrong_lifting(tmp_path, monkeypatch,
+                                      grushin_bent_lifting):
+    """`rockland lift` fails the lift identity of a perturbed lifting."""
+    from rockland import cli
+    monkeypatch.setattr(cli, "_lifting",
+                        lambda *args, **kw: grushin_bent_lifting)
+    out = tmp_path / "r.json"
+    assert run(["lift", "--model", model("grushin"),
+                "--json", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["lift_identity_random_polys"]["status"] == "fail"
+
+
 # -- gamma and its gates ---------------------------------------------------------------
 
 def test_gamma_refuses_nu_geq_q(capsys):

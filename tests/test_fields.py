@@ -20,7 +20,6 @@ from rockland.fields import (
     commutator,
     field_apply,
     heat_extend,
-    homogeneous_dimension,
     make_standard_operator,
     multiindex_weight,
     operator_transpose,
@@ -36,13 +35,6 @@ def d1(n=2):
     coeffs = [Poly.zero(n) for _ in range(n)]
     coeffs[0] = Poly.const(n, 1)
     return fld(n, coeffs)
-
-
-def test_from_coeffs_takes_the_ambient_space():
-    coeffs = [Poly.const(3, 1), Poly.var(3, 0), Poly.var(3, 1) ** 2]
-    X = PolyVectorField.from_coeffs(coeffs, 1)
-    assert X == fld(3, coeffs, 1)
-    assert PolyVectorField.from_coeffs(iter(coeffs)).declared_degree is None
 
 
 def test_field_apply():
@@ -257,7 +249,7 @@ def test_heat_extend(grushin, grushin_quartic):
     delta = grushin["delta"]
     H, dprime = heat_extend(grushin["L"], delta, 1)
     assert dprime.sigma == (1, 2, 2)
-    assert homogeneous_dimension(dprime) == 5
+    assert dprime.q == 5
     assert H.nu == 2
     Hq, dq = heat_extend(grushin_quartic, delta, -1)
     assert dq.sigma == (1, 2, 4)

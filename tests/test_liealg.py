@@ -188,6 +188,23 @@ def test_corrupted_structure_constant_fails_jacobi(three_var_step5):
         [True, True, False, True, True]
 
 
+def test_generate_lie_algebra_runs_the_jacobi_check(monkeypatch):
+    """generate_lie_algebra hands the table it returns to _check_jacobi, so
+    a table that breaks the identity cannot leave it."""
+    from rockland import liealg
+    seen = []
+    real = liealg._check_jacobi
+
+    def counting(sc):
+        seen.append(sc)
+        real(sc)
+
+    monkeypatch.setattr(liealg, "_check_jacobi", counting)
+    m = load_model(os.path.join(MODELS, "three_var_step5.model"))
+    _, sc = generate_lie_algebra(list(m.fields), m.delta)
+    assert seen == [sc]
+
+
 def _free_rank2_step4(mix):
     """Structure constants of the free nilpotent Lie algebra of rank 2 and
     step 4 (dimensions 2, 1, 2, 3 by degree), in the basis Y = mix @ X for

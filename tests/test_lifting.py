@@ -18,7 +18,6 @@ from rockland.lifting import (
     bch_product,
     build_group,
     exp_flow,
-    hom_norm_eval,
     invert_graded_map,
     lift_identity_check,
     poly_det,
@@ -219,6 +218,14 @@ def test_lift_identity_random(grushin, three_var_step5):
             assert lift_identity_check(L, lifted, u)
 
 
+def test_lift_identity_fails_a_base_direction_perturbation(
+        grushin, grushin_bent_lifting):
+    """A lifted field that moves a base coordinate breaks the identity."""
+    L = grushin["L"]
+    assert not lift_identity_check(L, grushin_bent_lifting, Poly.var(2, 1))
+    assert lift_identity_check(L, grushin["lifted"], Poly.var(2, 1))
+
+
 def test_lift_identity_insensitive_to_residual(grushin):
     """Dropping R_2 leaves the identity true: it cannot discriminate."""
     lifted, L = grushin["lifted"], grushin["L"]
@@ -240,7 +247,7 @@ def test_slice_diffeos(grushin, three_var_step5):
         n, p = lifted.n, lifted.p
         zero = [Fraction(0)] * n
         xi = rational_point(rng, p)
-        out = sm.psi_at(zero, zero, xi)
+        out = [poly_eval(m, zero + zero + xi) for m in sm.psi]
         assert out == xi  # (0,0)^{-1} * (0, xi) = (0, xi)
 
 
@@ -256,7 +263,7 @@ def test_phi_at_matches_group_law(grushin, three_var_step5):
             zero = [Fraction(0)] * p
             a = lifted.mult_eval(y + zero, lifted.inverse_eval(y + zeta))
             want = lifted.mult_eval(a, x + zero)[n:]
-            assert sm.phi_at(x, y, zeta) == want
+            assert [poly_eval(m, x + y + zeta) for m in sm.phi] == want
 
 
 def test_saturable_check(grushin, three_var_step5, grushin_quartic):
@@ -284,14 +291,14 @@ def test_saturable_adjoint_oracle(grushin):
 
 def test_hom_norm():
     norm = HomNorm((1, 2))
-    assert hom_norm_eval(norm, [3, 4]) == pytest.approx(5.0)
-    assert hom_norm_eval(norm, [0, 0]) == 0.0
+    assert norm([3, 4]) == pytest.approx(5.0)
+    assert norm([0, 0]) == 0.0
     rng = random.Random(77)
     for _ in range(10):
         v = [rng.uniform(-4, 4), rng.uniform(-4, 4)]
         lam = 2.0
         scaled = [lam * v[0], lam ** 2 * v[1]]
-        assert hom_norm_eval(norm, scaled) == pytest.approx(lam * hom_norm_eval(norm, v), rel=1e-12)
+        assert norm(scaled) == pytest.approx(lam * norm(v), rel=1e-12)
 
 
 def test_lifted_serialization(grushin):
